@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Regenerate tests/data/reference_summary.json.
+"""Regenerate tests/data/reference_summary.json and tests/data/golden_logs.json.
 
 Runs the committed experiment configs end to end and records the per-seed
-outcomes that the acceptance thresholds were pinned from. Rerun after any
+outcomes that the acceptance thresholds were pinned from, plus the SHA-256
+of the JSON-lines export of the runs in GOLDEN_RUNS, which
+tests/test_golden.py requires to stay bitwise identical. Rerun after any
 change that intentionally moves the dynamics, then re-check the margins in
 tests/test_acceptance.py against the fresh numbers.
 """
@@ -10,14 +12,23 @@ tests/test_acceptance.py against the fresh numbers.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 from flipreset.config import load_config
-from flipreset.harness import run_experiment
+from flipreset.harness import export_log, run_experiment
+
+# (config, policy, seed) whose exported log is pinned bit for bit; JSON-lines
+# because it writes floats exactly, where CSV rounds them to 9 digits
+GOLDEN_RUNS = {
+    "quick": ("configs/quick.json", "abr", 0),
+    "collapse": ("configs/collapse.json", "abr", 0),
+}
 
 
 def frozen_variant(config):
@@ -31,6 +42,27 @@ def stats(log):
         "final_accuracy": log.final_window_accuracy(),
         "reset_count": log.reset_count(),
     }
+
+
+def golden_logs() -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (config_path, policy, seed) in GOLDEN_RUNS.items():
+            config = load_config(ROOT / config_path)
+            log = run_experiment(config, seed, policy=config.policies[policy], policy_name=policy)
+            path = export_log(log, Path(tmp) / f"{name}.jsonl")
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            out[name] = {"config": config_path, "policy": policy, "seed": seed, "jsonl_sha256": digest}
+            print(f"golden {name}: {policy} seed {seed}, {len(log.rows)} rows, sha256 {digest}")
+    return out
+
+
+def write_json(target: Path, data: dict) -> None:
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with open(target, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {target}")
 
 
 def main() -> int:
@@ -77,14 +109,11 @@ def main() -> int:
         ) / len(bad.seeds),
     }
 
-    target = ROOT / "tests" / "data" / "reference_summary.json"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
-    print(f"\nwrote {target}")
+    print()
+    write_json(ROOT / "tests" / "data" / "reference_summary.json", out)
     for key, value in out["derived"].items():
         print(f"  {key}: {value:.4f}" if isinstance(value, float) else f"  {key}: {value}")
+    write_json(ROOT / "tests" / "data" / "golden_logs.json", golden_logs())
     return 0
 
 

@@ -37,7 +37,8 @@ class FlipObservation:
         if len(self.conf_curr) != n or len(self.conf_prev) != n:
             raise ValueError("record arrays must have equal length")
         for name, conf in (("conf_curr", self.conf_curr), ("conf_prev", self.conf_prev)):
-            if np.any((conf < 0.0) | (conf > 1.0)) or not np.all(np.isfinite(conf)):
+            # nan fails both comparisons, so this also rejects non-finite values
+            if not (conf.min() >= 0.0 and conf.max() <= 1.0):
                 raise ValueError(f"{name} outside [0, 1]")
 
     @property
@@ -69,7 +70,7 @@ def observe_batch(prev, curr, normalize: bool = True) -> tuple[FlipObservation, 
         conf_curr=np.asarray(curr.confidence, dtype=float),
         conf_prev=np.asarray(prev.confidence, dtype=float),
     )
-    raw = float(np.sum(obs.flipped * obs.conf_curr * (obs.conf_curr - obs.conf_prev)))
+    raw = float((obs.flipped * obs.conf_curr * (obs.conf_curr - obs.conf_prev)).sum())
     if normalize:
         raw /= obs.batch_size
     return obs, raw

@@ -169,9 +169,9 @@ def run_experiment(
             # downstream guards (softmax, confidence bounds, EMA) raise
             # ValueError once the numerics blow up
             prev_pred, curr_pred = adapt_batch(model, batch.features, loss)
-            if not np.all(np.isfinite(model.theta)):
+            if not np.isfinite(model.theta).all():
                 raise ValueError(f"non-finite parameters at step {t}")
-            accuracy = float(np.mean(curr_pred.classes == batch.labels))
+            accuracy = int(np.count_nonzero(curr_pred.classes == batch.labels)) / len(batch.labels)
             _, raw = observe_batch(prev_pred, curr_pred, normalize=config.normalize_flip)
             state.update_ema(raw)
         except ValueError as exc:

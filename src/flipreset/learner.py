@@ -74,6 +74,13 @@ class RobustPseudoLabel:
 AdaptLoss = EntropyMin | RobustPseudoLabel
 
 
+def _as_batch(x) -> np.ndarray:
+    """``x`` as a 2-D float64 array; one that already is passes through."""
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=float))
+
+
 def _unpack(theta: np.ndarray, n_features: int) -> tuple[np.ndarray, np.ndarray]:
     # theta = [W.ravel(), b]; K inferred from the vector length
     n_classes = theta.size // (n_features + 1)
@@ -89,15 +96,19 @@ def _unpack(theta: np.ndarray, n_features: int) -> tuple[np.ndarray, np.ndarray]
 def softmax_forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities for a feature vector or a batch (max-shifted exp)."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(theta)):
-        raise ValueError("non-finite inputs to softmax_forward")
+    theta = np.asarray(theta, dtype=float)
     single = x.ndim == 1
-    batch = np.atleast_2d(x)
-    w, b = _unpack(np.asarray(theta, dtype=float), batch.shape[1])
+    batch = _as_batch(x)
+    w, b = _unpack(theta, batch.shape[1])
     # logit overflow yields nan probabilities, which downstream finiteness
     # guards report as divergence; no need for numpy to warn as well
     with np.errstate(over="ignore", invalid="ignore"):
         z = batch @ w.T + b
+        # a non-finite input makes every logit it reaches non-finite, so
+        # finite logits clear the inputs without scanning them
+        if not z.size or not np.isfinite(z).all():
+            if not (np.isfinite(batch).all() and np.isfinite(theta).all()):
+                raise ValueError("non-finite inputs to softmax_forward")
         z -= z.max(axis=1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
@@ -106,8 +117,10 @@ def softmax_forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def predict(theta: np.ndarray, batch: np.ndarray) -> Prediction:
     """Argmax class per sample, ties broken toward the lowest class index."""
-    p = np.atleast_2d(softmax_forward(theta, batch))
-    classes = np.argmax(p, axis=1)
+    p = softmax_forward(theta, batch)
+    if p.ndim == 1:
+        p = p[None]
+    classes = p.argmax(axis=1)
     return Prediction(classes=classes, confidence=p[np.arange(len(classes)), classes])
 
 
@@ -123,11 +136,12 @@ def entropy_grad(theta: np.ndarray, batch: np.ndarray) -> np.ndarray:
     Uses the analytic derivative of the guarded loss so finite differences
     of :func:`entropy_loss` agree to machine-level precision.
     """
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    p = np.atleast_2d(softmax_forward(theta, batch))
+    batch = _as_batch(batch)
+    p = softmax_forward(theta, batch)
     # dH/dp then pull back through the softmax Jacobian
-    v = -(np.log(p + EPS) + p / (p + EPS))
-    gz = p * (v - np.sum(v * p, axis=1, keepdims=True))
+    p_eps = p + EPS
+    v = -(np.log(p_eps) + p / p_eps)
+    gz = p * (v - (v * p).sum(axis=1, keepdims=True))
     gz /= batch.shape[0]
     gw = gz.T @ batch
     return np.concatenate([gw.ravel(), gz.sum(axis=0)])
@@ -148,11 +162,11 @@ def rpl_grad(theta: np.ndarray, batch: np.ndarray, q: float = 0.8) -> np.ndarray
     """
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must lie in (0, 1], got {q}")
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    p = np.atleast_2d(softmax_forward(theta, batch))
+    batch = _as_batch(batch)
+    p = softmax_forward(theta, batch)
     n = batch.shape[0]
     idx = np.arange(n)
-    pseudo = np.argmax(p, axis=1)
+    pseudo = p.argmax(axis=1)
     coef = p[idx, pseudo] ** q
     gz = p * coef[:, None]
     gz[idx, pseudo] -= coef
@@ -167,8 +181,8 @@ def _cross_entropy_loss(theta: np.ndarray, batch: np.ndarray, labels: np.ndarray
 
 
 def _cross_entropy_grad(theta: np.ndarray, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    p = np.atleast_2d(softmax_forward(theta, batch))
+    batch = _as_batch(batch)
+    p = softmax_forward(theta, batch)
     n = batch.shape[0]
     gz = p.copy()
     gz[np.arange(n), labels] -= 1.0

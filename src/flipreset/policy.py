@@ -145,32 +145,42 @@ def policy_name(policy: ResetPolicy) -> str:
     return _POLICY_NAMES[type(policy)]
 
 
+def _rise(state: FlipSignalState) -> tuple[float, int] | None:
+    """``(delta_lf, delta_t)`` from the trajectory minimum to the current
+    value; None while undefined (unseeded state or zero elapsed steps)."""
+    if state.lf_ema is None or state.lf_min is None or state.t_min is None:
+        return None
+    delta_t = state.t - state.t_min
+    if delta_t < 1:
+        return None
+    return state.lf_ema - state.lf_min, delta_t
+
+
 def slope(state: FlipSignalState) -> float | None:
     """Rise per step from the trajectory minimum to the current value.
 
     Returns None while undefined (unseeded state or zero elapsed steps);
     callers must treat that as "no trigger".
     """
-    if state.lf_ema is None or state.lf_min is None or state.t_min is None:
-        return None
-    delta_t = state.t - state.t_min
-    if delta_t < 1:
-        return None
-    return (state.lf_ema - state.lf_min) / delta_t
+    rise = _rise(state)
+    return None if rise is None else rise[0] / rise[1]
 
 
-def threshold_value(state: FlipSignalState, cfg: TriggerConfig) -> float | None:
-    """Per-step slope threshold: beta * sqrt(scale) / sqrt(delta_t).
+def threshold_value(delta_t: int, cfg: TriggerConfig) -> float:
+    """Per-step slope threshold ``delta_t`` steps after the minimum:
+    beta * sqrt(scale) / sqrt(delta_t).
 
     Comparing the per-step slope against this value is the same inequality
     as comparing the per-sample slope against beta / sqrt(delta_t * scale).
     """
-    if state.t_min is None:
-        return None
-    delta_t = state.t - state.t_min
-    if delta_t < 1:
-        return None
     return cfg.beta * math.sqrt(cfg.time_unit_scale) / math.sqrt(delta_t)
+
+
+def _fires(state: FlipSignalState, rise: tuple[float, int] | None, cfg: TriggerConfig) -> bool:
+    if rise is None or state.steps_since_reset <= cfg.warmup_steps:
+        return False
+    delta_lf, delta_t = rise
+    return delta_lf > cfg.beta * math.sqrt(delta_t * cfg.time_unit_scale)
 
 
 def trigger_check(state: FlipSignalState, cfg: TriggerConfig) -> bool:
@@ -180,15 +190,7 @@ def trigger_check(state: FlipSignalState, cfg: TriggerConfig) -> bool:
     algebraically the slope-vs-threshold inequality rearranged to avoid
     the division; always false during the post-reset warm-up window.
     """
-    if state.lf_ema is None or state.lf_min is None or state.t_min is None:
-        return False
-    if state.steps_since_reset <= cfg.warmup_steps:
-        return False
-    delta_t = state.t - state.t_min
-    if delta_t < 1:
-        return False
-    delta_lf = state.lf_ema - state.lf_min
-    return delta_lf > cfg.beta * math.sqrt(delta_t * cfg.time_unit_scale)
+    return _fires(state, _rise(state), cfg)
 
 
 def compute_lambda(state: FlipSignalState) -> float:
@@ -224,16 +226,6 @@ def blend_weights(
     return lam * theta_source + (1.0 - lam) * theta_prev
 
 
-def _signal_diagnostics(
-    state: FlipSignalState, cfg: TriggerConfig | None
-) -> tuple[float | None, float | None, float | None, int | None]:
-    s = slope(state)
-    if s is None or state.lf_ema is None or state.lf_min is None or state.t_min is None:
-        return None, None, None, None
-    thr = threshold_value(state, cfg) if cfg is not None else None
-    return s, thr, state.lf_ema - state.lf_min, state.t - state.t_min
-
-
 def policy_step(
     policy: ResetPolicy, state: FlipSignalState, model: ModelState
 ) -> PolicyDecision:
@@ -244,7 +236,13 @@ def policy_step(
     signal is cleared. Called once per adapted batch, after the signal update.
     """
     cfg = getattr(policy, "trigger", None)
-    s, thr, delta_lf, delta_t = _signal_diagnostics(state, cfg)
+    rise = _rise(state)
+    s = thr = delta_lf = delta_t = None
+    if rise is not None:
+        delta_lf, delta_t = rise
+        s = delta_lf / delta_t
+        if cfg is not None:
+            thr = threshold_value(delta_t, cfg)
 
     lam: float | None = None
     if isinstance(policy, NoReset):
@@ -256,10 +254,10 @@ def policy_step(
         if state.t in policy.times:
             lam = 1.0
     elif isinstance(policy, HardReset):
-        if trigger_check(state, policy.trigger):
+        if _fires(state, rise, policy.trigger):
             lam = 1.0
     elif isinstance(policy, BalancedReset):
-        if trigger_check(state, policy.trigger):
+        if _fires(state, rise, policy.trigger):
             lam = policy.force_lambda if policy.force_lambda is not None else compute_lambda(state)
     else:
         raise TypeError(f"unknown policy: {policy!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -91,18 +92,22 @@ class SourceDistribution:
         if self.n_classes < 2 or self.n_features < self.n_classes:
             raise ValueError("need >= 2 classes and n_features >= n_classes")
 
-    @property
+    @cached_property
     def means(self) -> np.ndarray:
+        """Class means, one row per class; built once and read-only."""
         m = np.zeros((self.n_classes, self.n_features))
         m[np.arange(self.n_classes), np.arange(self.n_classes)] = self.class_separation
+        m.setflags(write=False)
         return m
 
-    @property
+    @cached_property
     def shift_direction(self) -> np.ndarray:
         """Unit vector from class 0's mean toward class 1's, i.e. across a
-        decision boundary."""
+        decision boundary; built once and read-only."""
         d = self.means[1] - self.means[0]
-        return d / np.linalg.norm(d)
+        d = d / np.linalg.norm(d)
+        d.setflags(write=False)
+        return d
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         labels = rng.integers(0, self.n_classes, size=n)
@@ -186,7 +191,7 @@ class LabeledBatch:
     def __post_init__(self) -> None:
         if len(self.features) != len(self.labels):
             raise ValueError("features/labels length mismatch")
-        if not np.all(np.isfinite(self.features)):
+        if not np.isfinite(self.features).all():
             raise ValueError("non-finite features")
 
 
@@ -236,12 +241,11 @@ def apply_corruption(
     if kind is CorruptionKind.FEATURE_ROTATION:
         out = features.copy()
         c, s = math.cos(severity), math.sin(severity)
-        n_pairs = features.shape[1] // 2
-        even = np.arange(n_pairs) * 2
-        odd = even + 1
-        a, b = features[:, even], features[:, odd]
-        out[:, even] = c * a - s * b
-        out[:, odd] = s * a + c * b
+        # rotate feature pairs (0, 1), (2, 3), ...; an odd last feature stays put
+        end = 2 * (features.shape[1] // 2)
+        a, b = features[:, 0:end:2], features[:, 1:end:2]
+        out[:, 0:end:2] = c * a - s * b
+        out[:, 1:end:2] = s * a + c * b
         return out
     if kind is CorruptionKind.FEATURE_SCALE:
         return features * (1.0 + severity)

@@ -103,6 +103,14 @@ class TestFlipObservation:
         )
         assert obs.batch_size == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["conf_curr", "conf_prev"])
+    def test_non_finite_confidence_rejected(self, bad, field):
+        conf = {"conf_curr": np.array([0.5, 0.6]), "conf_prev": np.array([0.1, 0.2])}
+        conf[field][1] = bad
+        with pytest.raises(ValueError, match=field):
+            FlipObservation(flipped=np.array([True, False]), **conf)
+
 
 class TestUpdateEma:
     def test_direct_evaluation(self):

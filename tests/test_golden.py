@@ -1,0 +1,29 @@
+"""Golden logs: committed runs must reproduce their exported logs bit for bit.
+
+The digests in tests/data/golden_logs.json are SHA-256 hashes of the
+JSON-lines export (exact floats, unlike the 9-digit CSV). Regenerate them
+with scripts/make_reference.py only for a change that is meant to move the
+dynamics, and say so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from flipreset.config import load_config
+from flipreset.harness import export_log, run_experiment
+
+from conftest import CONFIG_DIR, DATA_DIR
+
+GOLDEN = json.loads((DATA_DIR / "golden_logs.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_exported_log_is_bitwise_identical(name, tmp_path):
+    entry = GOLDEN[name]
+    config = load_config(CONFIG_DIR.parent / entry["config"])
+    policy = entry["policy"]
+    log = run_experiment(config, entry["seed"], policy=config.policies[policy], policy_name=policy)
+    path = export_log(log, tmp_path / f"{name}.jsonl")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["jsonl_sha256"]

@@ -57,6 +57,14 @@ class TestRunExperiment:
         assert [r.t for r in log.rows] == list(range(1, 101))
         assert all(0.0 <= r.accuracy <= 1.0 for r in log.rows)
 
+    def test_row_values_are_builtin_numbers(self):
+        # numpy scalars would print the same but cost more to store and serialise
+        log = run_experiment(small_config(), 0)
+        for row in log.rows:
+            for name, value in dataclasses.asdict(row).items():
+                expected = (int,) if name in ("t", "domain", "reset") else (float, type(None))
+                assert type(value) in expected, (row.t, name, type(value))
+
     def test_frozen_learner_reproduces_source_accuracy(self):
         cfg = small_config(
             learner={

@@ -1,5 +1,7 @@
 """Classifier, adaptation losses and optimizer contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,37 @@ class TestSoftmaxForward:
             softmax_forward(np.zeros(4), np.array([np.nan]))
         with pytest.raises(ValueError, match="non-finite"):
             softmax_forward(np.array([np.inf, 0.0, 0.0, 0.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_batch_rejected(self, rng, bad):
+        theta = rng.normal(0, 1, 3 * (4 + 1))
+        batch = rng.normal(0, 1, (6, 4))
+        batch[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            softmax_forward(theta, batch)
+        # a zero weight column must not hide the bad feature
+        theta[[1, 5, 9]] = 0.0
+        with pytest.raises(ValueError, match="non-finite"):
+            softmax_forward(theta, batch)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 7, 13])  # weights, then bias
+    def test_non_finite_theta_rejected(self, rng, bad, index):
+        theta = rng.normal(0, 1, 3 * (4 + 1))
+        theta[index] = bad
+        for batch in (rng.normal(0, 1, (6, 4)), np.zeros((6, 4))):
+            with pytest.raises(ValueError, match="non-finite"):
+                softmax_forward(theta, batch)
+
+    def test_overflowing_logits_return_without_raising(self):
+        # finite inputs, logits beyond the float range: nan probabilities
+        # for the divergence guards downstream, and no numpy warning
+        theta = np.array([1e308, -1e308, 0.0, 0.0])  # d=1, K=2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = softmax_forward(theta, np.array([[10.0], [0.5]]))
+        assert np.isnan(p[0]).all()
+        assert np.isfinite(p[1]).all()
 
 
 class TestPredict:

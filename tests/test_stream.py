@@ -1,5 +1,7 @@
 """Drifting stream generation: schedules, corruptions, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,16 @@ class TestCorruptions:
         out[:, odd] = -s * a + c * b
         assert np.allclose(out, x, atol=1e-10)
 
+    def test_rotation_odd_width_keeps_last_feature(self, rng):
+        x = rng.normal(0, 1, (30, 7))
+        phi = 0.9
+        rot = apply_corruption(x, CorruptionKind.FEATURE_ROTATION, phi, rng, SourceDistribution(4, 7))
+        c, s = math.cos(phi), math.sin(phi)
+        for i in (0, 2, 4):
+            assert np.array_equal(rot[:, i], c * x[:, i] - s * x[:, i + 1])
+            assert np.array_equal(rot[:, i + 1], s * x[:, i] + c * x[:, i + 1])
+        assert np.array_equal(rot[:, 6], x[:, 6])
+
     def test_rotation_preserves_norm(self, rng):
         x = rng.normal(0, 1, (20, 16))
         rot = apply_corruption(x, CorruptionKind.FEATURE_ROTATION, 1.1, rng, SOURCE)
@@ -207,6 +219,15 @@ class TestSourceDistribution:
         for k in range(4):
             mu = x[y == k].mean(axis=0)
             assert np.allclose(mu, SOURCE.means[k], atol=0.05)
+
+    def test_source_constants_built_once_and_read_only(self):
+        source = SourceDistribution()
+        for name in ("means", "shift_direction"):
+            value = getattr(source, name)
+            assert getattr(source, name) is value
+            assert not value.flags.writeable
+            with pytest.raises(ValueError):
+                value[0] = 1.0
 
     def test_domain_severity_validation(self):
         with pytest.raises(ValueError):
