@@ -1,25 +1,24 @@
 """Experiment configuration: JSON schema, parsing, validation.
 
-See README for an annotated example. Unknown keys are rejected so config
-typos fail loudly instead of silently falling back to defaults.
+See README for an annotated example. The dataclasses below are the schema:
+their fields give the allowed keys, the defaults and the JSON type of every
+value. Unknown keys are rejected so config typos fail loudly instead of
+silently falling back to defaults, and no value is coerced to another type.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
-from .policy import (
-    BalancedReset,
-    FixedInterval,
-    HardReset,
-    NoReset,
-    RandomTiming,
-    ResetPolicy,
-    TriggerConfig,
-)
-from .stream import CorruptionKind, Domain, Transition
+from .learner import AdaptLoss, EntropyMin, RobustPseudoLabel
+from .policy import POLICY_KINDS, NoReset, ResetPolicy, TriggerConfig
+from .stream import CorruptionKind, Domain, DomainSchedule, SourceDistribution, Transition
 
 __all__ = [
     "ConfigError",
@@ -37,12 +36,6 @@ class ConfigError(ValueError):
     """Invalid or missing configuration."""
 
 
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
 @dataclass(frozen=True)
 class StreamConfig:
     num_domains: int = 100
@@ -53,6 +46,23 @@ class StreamConfig:
     class_separation: float = 2.5
     severity_ranges: dict | None = None
     domains: tuple[Domain, ...] | None = None  # explicit schedule override
+
+    def __post_init__(self) -> None:
+        # build the stream's domain objects now, so that a bad stream is a
+        # config error and not a failure at the first batch
+        self.source
+        if self.num_domains < 1:
+            raise ValueError("num_domains must be >= 1")
+        for kind, pair in (self.severity_ranges or {}).items():
+            for severity in pair:
+                Domain(kind, severity)
+        probe = (Domain(CorruptionKind.MEAN_SHIFT, 0.0),) if self.domains is None else self.domains[:1]
+        DomainSchedule(probe, self.batches_per_domain, self.transition, seed=0)
+
+    @cached_property
+    def source(self) -> SourceDistribution:
+        """The clean source distribution, shared by every run of this config."""
+        return SourceDistribution(self.n_classes, self.n_features, self.class_separation)
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,12 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if self.loss not in ("entropy", "rpl"):
             raise ConfigError(f"learner.loss must be entropy|rpl, got {self.loss!r}")
+        self.adapt_loss  # a bad q is a config error too
+
+    @cached_property
+    def adapt_loss(self) -> AdaptLoss:
+        """The adaptation loss this config names."""
+        return RobustPseudoLabel(q=self.q) if self.loss == "rpl" else EntropyMin()
 
 
 @dataclass(frozen=True)
@@ -96,153 +112,140 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-negative")
 
 
-def parse_policy(d: dict, batch_size: int) -> ResetPolicy:
-    """Build a policy from its config dict; beta's sample clock defaults to
-    one batch = ``batch_size`` samples."""
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError(f"policy must be an object with a 'kind', got {d!r}")
-    kind = d["kind"]
+# the JSON type that a scalar field's annotation asks for, and its name in messages
+_JSON_TYPES = {
+    "int": (int, "an integer"),
+    "float": (float, "a finite number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+}
+
+
+def _object(value, where: str) -> dict:
+    if type(value) is not dict:
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if type(value) is not list:
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _typed(value, annotation: str, where: str):
+    """``value`` if it has the JSON type that a field's ``annotation`` names;
+    a ``tuple[T, ...]`` is a JSON list of T, and a JSON integer in a float
+    field becomes that float."""
+    if value is None and annotation.endswith(" | None"):
+        return None
+    annotation = annotation.removesuffix(" | None")
+    if annotation.startswith("tuple["):
+        item = annotation.removeprefix("tuple[").removesuffix(", ...]")
+        return tuple(_typed(x, item, f"{where}[{i}]") for i, x in enumerate(_list(value, where)))
+    want, name = _JSON_TYPES[annotation]
+    if want is float and type(value) is int:
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if type(value) is not want or (want is float and not math.isfinite(value)):
+        raise ConfigError(f"{where} must be {name}, got {value!r}")
+    return value
+
+
+def _build(cls, d, where: str, **nested):
+    """``cls`` built from the JSON object ``d``.
+
+    The allowed keys, the defaults and the JSON type of each scalar come from
+    the fields of ``cls``; ``nested`` maps every other field to the parser of
+    its value. Scalars are checked before any parser runs, and a domain error
+    from a parser or from ``cls`` becomes a ConfigError naming ``where``.
+    """
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(_object(d, where)) - set(annotations)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    kwargs = {k: _typed(v, annotations[k], f"{where}.{k}") for k, v in d.items() if k not in nested}
     try:
-        if kind == "no_reset":
-            _check_keys(d, {"kind"}, "no_reset policy")
-            return NoReset()
-        if kind == "fixed_interval":
-            _check_keys(d, {"kind", "period"}, "fixed_interval policy")
-            return FixedInterval(period=int(d["period"]))
-        if kind == "random_timing":
-            _check_keys(d, {"kind", "times"}, "random_timing policy")
-            return RandomTiming(times=tuple(int(x) for x in d["times"]))
-        if kind in ("hard_reset", "abr"):
-            _check_keys(
-                d,
-                {"kind", "beta", "warmup_steps", "time_unit_scale", "force_lambda"},
-                f"{kind} policy",
-            )
-            trigger = TriggerConfig(
-                beta=float(d.get("beta", 2e-6)),
-                warmup_steps=int(d.get("warmup_steps", 10)),
-                time_unit_scale=float(d.get("time_unit_scale", batch_size)),
-            )
-            if kind == "hard_reset":
-                if "force_lambda" in d:
-                    raise ConfigError("force_lambda only applies to the abr policy")
-                return HardReset(trigger=trigger)
-            fl = d.get("force_lambda")
-            return BalancedReset(trigger=trigger, force_lambda=None if fl is None else float(fl))
+        for key, value in d.items():
+            if key in nested:
+                optional = value is None and annotations[key].endswith(" | None")
+                kwargs[key] = None if optional else nested[key](value)
+        return cls(**kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad {kind} policy: {exc}") from exc
-    raise ConfigError(
-        f"unknown policy kind {kind!r}; expected one of "
-        "no_reset|fixed_interval|random_timing|hard_reset|abr"
-    )
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def parse_policy(d: dict, batch_size: int, where: str = "policy") -> ResetPolicy:
+    """Build a policy from its config dict. An adaptive policy's trigger keys
+    sit beside ``kind``, and beta's sample clock defaults to one batch =
+    ``batch_size`` samples."""
+    kind = _object(d, where).get("kind")
+    if type(kind) is not str or kind not in POLICY_KINDS:
+        raise ConfigError(f"{where}.kind must be one of {'|'.join(POLICY_KINDS)}, got {kind!r}")
+    if "trigger" in d:
+        raise ConfigError(f"unknown keys in {where}: ['trigger']")
+    cls = POLICY_KINDS[kind]
+    params = {k: v for k, v in d.items() if k != "kind"}
+    if all(f.name != "trigger" for f in dataclasses.fields(cls)):
+        return _build(cls, params, where)
+    trigger = {"time_unit_scale": batch_size}
+    for key in [f.name for f in dataclasses.fields(TriggerConfig) if f.name in params]:
+        trigger[key] = params.pop(key)
+    params["trigger"] = trigger
+    return _build(cls, params, where, trigger=lambda t: _build(TriggerConfig, t, where))
 
 
 def _parse_transition(value) -> Transition:
-    if isinstance(value, str):
-        if value != "abrupt":
-            raise ConfigError(f"string transition must be 'abrupt', got {value!r}")
+    if value == "abrupt":
         return Transition()
-    if isinstance(value, dict):
-        _check_keys(value, {"kind", "ramp_batches"}, "stream.transition")
-        return Transition(kind=value.get("kind", "abrupt"), ramp_batches=int(value.get("ramp_batches", 0)))
-    raise ConfigError(f"bad transition: {value!r}")
+    return _build(Transition, value, "stream.transition")
 
 
-def _parse_stream(d: dict) -> StreamConfig:
-    _check_keys(
-        d,
-        {
-            "num_domains",
-            "batches_per_domain",
-            "transition",
-            "n_classes",
-            "n_features",
-            "class_separation",
-            "severity_ranges",
-            "domains",
-        },
-        "stream",
-    )
-    ranges = None
-    if d.get("severity_ranges") is not None:
-        ranges = {}
-        for key, pair in d["severity_ranges"].items():
-            ranges[CorruptionKind(key)] = (float(pair[0]), float(pair[1]))
-    domains = None
-    if d.get("domains") is not None:
-        domains = tuple(
-            Domain(CorruptionKind(x["kind"]), float(x["severity"])) for x in d["domains"]
-        )
-    return StreamConfig(
-        num_domains=int(d.get("num_domains", 100)),
-        batches_per_domain=int(d.get("batches_per_domain", 200)),
-        transition=_parse_transition(d.get("transition", "abrupt")),
-        n_classes=int(d.get("n_classes", 4)),
-        n_features=int(d.get("n_features", 16)),
-        class_separation=float(d.get("class_separation", 2.5)),
-        severity_ranges=ranges,
-        domains=domains,
-    )
+def _parse_severity_ranges(value) -> dict:
+    ranges = {}
+    for key, pair in _object(value, "stream.severity_ranges").items():
+        where = f"stream.severity_ranges.{key}"
+        ranges[CorruptionKind(key)] = _typed(pair, "tuple[float, ...]", where)
+        if len(pair) != 2:
+            raise ConfigError(f"{where} must be a [low, high] pair, got {pair!r}")
+    return ranges
 
 
-def _parse_learner(d: dict) -> LearnerConfig:
-    _check_keys(d, {"loss", "q", "learning_rate", "momentum", "pretrain"}, "learner")
-    pre = d.get("pretrain", {})
-    _check_keys(
-        pre, {"samples_per_class", "epochs", "learning_rate", "holdout_fraction"}, "learner.pretrain"
-    )
-    return LearnerConfig(
-        loss=d.get("loss", "entropy"),
-        q=float(d.get("q", 0.8)),
-        learning_rate=float(d.get("learning_rate", 0.05)),
-        momentum=float(d.get("momentum", 0.9)),
-        pretrain=PretrainConfig(
-            samples_per_class=int(pre.get("samples_per_class", 500)),
-            epochs=int(pre.get("epochs", 150)),
-            learning_rate=float(pre.get("learning_rate", 0.5)),
-            holdout_fraction=float(pre.get("holdout_fraction", 0.2)),
-        ),
+def _parse_domains(value) -> tuple[Domain, ...]:
+    return tuple(
+        _build(Domain, x, f"stream.domains[{i}]", kind=CorruptionKind)
+        for i, x in enumerate(_list(value, "stream.domains"))
     )
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    _check_keys(
+    """Build a config from a parsed JSON object; raises ConfigError, naming
+    the key, on any unknown key or bad value."""
+    # a trigger's sample clock defaults to one batch, so batch_size is checked first
+    given = {k: v for k, v in _object(d, "config").items() if k == "batch_size"}
+    batch_size = _build(ExperimentConfig, given, "config").batch_size
+    return _build(
+        ExperimentConfig,
         d,
-        {
-            "stream",
-            "learner",
-            "policy",
-            "policies",
-            "batch_size",
-            "seeds",
-            "normalize_flip",
-            "output",
-        },
         "config",
+        stream=lambda s: _build(
+            StreamConfig,
+            s,
+            "stream",
+            transition=_parse_transition,
+            severity_ranges=_parse_severity_ranges,
+            domains=_parse_domains,
+        ),
+        learner=lambda s: _build(
+            LearnerConfig, s, "learner", pretrain=lambda p: _build(PretrainConfig, p, "learner.pretrain")
+        ),
+        policy=lambda p: parse_policy(p, batch_size),
+        policies=lambda ps: {
+            name: parse_policy(p, batch_size, f"policies.{name}")
+            for name, p in _object(ps, "policies").items()
+        },
     )
-    try:
-        batch_size = int(d.get("batch_size", 64))
-        policies = None
-        if "policies" in d:
-            policies = {
-                name: parse_policy(p, batch_size) for name, p in d["policies"].items()
-            }
-        return ExperimentConfig(
-            stream=_parse_stream(d.get("stream", {})),
-            learner=_parse_learner(d.get("learner", {})),
-            policy=parse_policy(d.get("policy", {"kind": "no_reset"}), batch_size),
-            policies=policies,
-            batch_size=batch_size,
-            seeds=tuple(int(s) for s in d.get("seeds", [0])),
-            normalize_flip=bool(d.get("normalize_flip", True)),
-            output=d.get("output"),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -254,6 +257,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
     return config_from_dict(data)

@@ -80,33 +80,20 @@ class FlipSignalState:
     """Running smoothed flip trajectory and its minimum.
 
     One instance tracks one adaptation run. ``t`` counts every observed
-    batch and survives resets; the EMA, the minimum and the warm-up
-    window restart at each :meth:`reset_signal`. Strictly sequential:
-    confine each instance to one thread.
+    batch and survives resets; the EMA, the minimum and
+    ``steps_since_reset`` restart at each :meth:`reset_signal`. Strictly
+    sequential: confine each instance to one thread.
     """
 
-    def __init__(self, alpha: float = 0.5, warmup_steps: int = 10):
+    def __init__(self, alpha: float = 0.5):
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        if warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
         self.alpha = alpha
-        self.warmup_steps = warmup_steps
         self.t = 0
-        self.lf_raw: float | None = None
         self.lf_ema: float | None = None
         self.lf_min: float | None = None
         self.t_min: int | None = None
         self.steps_since_reset = 0
-
-    @property
-    def seeded(self) -> bool:
-        return self.lf_ema is not None
-
-    @property
-    def warmed_up(self) -> bool:
-        """True once the post-(re)set warm-up window has elapsed."""
-        return self.steps_since_reset > self.warmup_steps
 
     def update_ema(self, raw: float) -> None:
         """Absorb one raw score: seed on first use, else blend with weight alpha on the past."""
@@ -114,7 +101,6 @@ class FlipSignalState:
             raise ValueError(f"non-finite raw flip score: {raw}")
         self.t += 1
         self.steps_since_reset += 1
-        self.lf_raw = raw
         if self.lf_ema is None:
             self.lf_ema = raw
         else:
@@ -130,7 +116,6 @@ class FlipSignalState:
 
     def reset_signal(self) -> None:
         """Clear the trajectory after a re-initialization; the global step counter is kept."""
-        self.lf_raw = None
         self.lf_ema = None
         self.lf_min = None
         self.t_min = None

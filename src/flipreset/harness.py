@@ -9,27 +9,19 @@ own channel, and learner init/pretraining from a third.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .flip_signal import FlipSignalState, observe_batch
-from .learner import (
-    DivergenceError,
-    EntropyMin,
-    ModelState,
-    RobustPseudoLabel,
-    adapt_batch,
-    pretrain_source,
-)
+from .learner import DivergenceError, ModelState, adapt_batch, pretrain_source
 from .policy import ResetPolicy, policy_name as _policy_label, policy_step
-from .stream import DomainSchedule, SourceDistribution, make_schedule, sample_batch
+from .stream import DomainSchedule, make_schedule, sample_batch
 
 _LEARNER_CHANNEL = 2
-
-CSV_HEADER = "t,domain,accuracy,lf_raw,lf_ema,lf_min,slope,threshold,reset,lambda"
 
 __all__ = [
     "CSV_HEADER",
@@ -59,6 +51,17 @@ class LogRow:
     lam: float | None
 
 
+# LogRow field -> its column name in both file formats, in file order
+_COLUMNS = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(LogRow)}
+CSV_HEADER = ",".join(_COLUMNS.values())
+_row_values = attrgetter(*_COLUMNS)
+# a CSV row is formatted by one template built from the field types, with
+# the nullable fields passed through _opt first
+_CSV_FORMATS = {"int": "%d", "float": "%.9g", "float | None": "%s"}
+_CSV_ROW = ",".join(_CSV_FORMATS[f.type] for f in fields(LogRow)) + "\n"
+_NULLABLE = tuple(i for i, f in enumerate(fields(LogRow)) if f.type.endswith(" | None"))
+
+
 @dataclass
 class ExperimentLog:
     """Per-step rows for one run, plus abort marker when a run diverged."""
@@ -80,12 +83,6 @@ class ExperimentLog:
 
     def reset_steps(self) -> list[int]:
         return [r.t for r in self.rows if r.reset]
-
-
-def _loss_from_config(config: ExperimentConfig):
-    if config.learner.loss == "rpl":
-        return RobustPseudoLabel(q=config.learner.q)
-    return EntropyMin()
 
 
 def build_schedule(config: ExperimentConfig, seed: int) -> DomainSchedule:
@@ -110,11 +107,7 @@ def build_schedule(config: ExperimentConfig, seed: int) -> DomainSchedule:
 
 def build_model(config: ExperimentConfig, seed: int) -> tuple[ModelState, float]:
     """Pretrain the source classifier for one seed; returns (model, holdout accuracy)."""
-    source = SourceDistribution(
-        n_classes=config.stream.n_classes,
-        n_features=config.stream.n_features,
-        class_separation=config.stream.class_separation,
-    )
+    source = config.stream.source
     rng = np.random.default_rng([seed, _LEARNER_CHANNEL])
     pre = config.learner.pretrain
     features, labels = source.sample(pre.samples_per_class * source.n_classes, rng)
@@ -132,11 +125,6 @@ def build_model(config: ExperimentConfig, seed: int) -> tuple[ModelState, float]
     return model, holdout
 
 
-def _policy_warmup(policy: ResetPolicy) -> int:
-    trigger = getattr(policy, "trigger", None)
-    return trigger.warmup_steps if trigger is not None else 10
-
-
 def run_experiment(
     config: ExperimentConfig,
     seed: int,
@@ -152,15 +140,11 @@ def run_experiment(
     policy = config.policy if policy is None else policy
     if policy_name is None:
         policy_name = _policy_label(policy)
-    source = SourceDistribution(
-        n_classes=config.stream.n_classes,
-        n_features=config.stream.n_features,
-        class_separation=config.stream.class_separation,
-    )
+    source = config.stream.source
     model, _ = build_model(config, seed)
     schedule = build_schedule(config, seed)
-    loss = _loss_from_config(config)
-    state = FlipSignalState(alpha=0.5, warmup_steps=_policy_warmup(policy))
+    loss = config.learner.adapt_loss
+    state = FlipSignalState()
 
     log = ExperimentLog(policy_name=policy_name, seed=seed)
     for t in range(1, schedule.horizon + 1):
@@ -265,12 +249,8 @@ def compare_policies(
     return ComparisonSummary(seeds=seeds, cells=cells)
 
 
-def _g9(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def _opt(x: float | None) -> str:
-    return "" if x is None else _g9(x)
+    return "" if x is None else _CSV_FORMATS["float"] % x
 
 
 def export_log(log: ExperimentLog, path: str | Path, fmt: str | None = None) -> Path:
@@ -288,31 +268,16 @@ def export_log(log: ExperimentLog, path: str | Path, fmt: str | None = None) -> 
         if fmt == "csv":
             fh.write(CSV_HEADER + "\n")
             for r in log.rows:
-                fh.write(
-                    f"{r.t},{r.domain},{_g9(r.accuracy)},{_g9(r.lf_raw)},{_g9(r.lf_ema)},"
-                    f"{_g9(r.lf_min)},{_opt(r.slope)},{_opt(r.threshold)},{r.reset},{_opt(r.lam)}\n"
-                )
+                values = list(_row_values(r))
+                for i in _NULLABLE:
+                    values[i] = _opt(values[i])
+                fh.write(_CSV_ROW % tuple(values))
         else:
             meta = {"policy": log.policy_name, "seed": log.seed, "aborted_at": log.aborted_at}
             fh.write(json.dumps(meta) + "\n")
+            encode = json.JSONEncoder(check_circular=False).encode  # json.dumps's output; rows hold no cycles
             for r in log.rows:
-                fh.write(
-                    json.dumps(
-                        {
-                            "t": r.t,
-                            "domain": r.domain,
-                            "accuracy": r.accuracy,
-                            "lf_raw": r.lf_raw,
-                            "lf_ema": r.lf_ema,
-                            "lf_min": r.lf_min,
-                            "slope": r.slope,
-                            "threshold": r.threshold,
-                            "reset": r.reset,
-                            "lambda": r.lam,
-                        }
-                    )
-                    + "\n"
-                )
+                fh.write(encode(dict(zip(_COLUMNS.values(), _row_values(r)))) + "\n")
     return path
 
 
@@ -328,18 +293,5 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
     )
     for line in lines[1:]:
         d = json.loads(line)
-        log.rows.append(
-            LogRow(
-                t=int(d["t"]),
-                domain=int(d["domain"]),
-                accuracy=d["accuracy"],
-                lf_raw=d["lf_raw"],
-                lf_ema=d["lf_ema"],
-                lf_min=d["lf_min"],
-                slope=d["slope"],
-                threshold=d["threshold"],
-                reset=int(d["reset"]),
-                lam=d["lambda"],
-            )
-        )
+        log.rows.append(LogRow(*map(d.__getitem__, _COLUMNS.values())))
     return log

@@ -49,10 +49,6 @@ class Prediction:
     classes: np.ndarray
     confidence: np.ndarray
 
-    @property
-    def batch_size(self) -> int:
-        return len(self.classes)
-
 
 @dataclass(frozen=True)
 class EntropyMin:

@@ -31,6 +31,7 @@ __all__ = [
     "HardReset",
     "BalancedReset",
     "ResetPolicy",
+    "POLICY_KINDS",
     "slope",
     "trigger_check",
     "compute_lambda",
@@ -131,18 +132,20 @@ class BalancedReset:
 
 ResetPolicy = NoReset | FixedInterval | RandomTiming | HardReset | BalancedReset
 
-_POLICY_NAMES = {
-    NoReset: "no_reset",
-    FixedInterval: "fixed_interval",
-    RandomTiming: "random_timing",
-    HardReset: "hard_reset",
-    BalancedReset: "abr",
+# config-file name of each policy variant
+POLICY_KINDS: dict[str, type] = {
+    "no_reset": NoReset,
+    "fixed_interval": FixedInterval,
+    "random_timing": RandomTiming,
+    "hard_reset": HardReset,
+    "abr": BalancedReset,
 }
+_KIND_OF = {cls: kind for kind, cls in POLICY_KINDS.items()}
 
 
 def policy_name(policy: ResetPolicy) -> str:
     """Canonical config-file name of a policy variant."""
-    return _POLICY_NAMES[type(policy)]
+    return _KIND_OF[type(policy)]
 
 
 def _rise(state: FlipSignalState) -> tuple[float, int] | None:

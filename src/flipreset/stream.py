@@ -158,26 +158,6 @@ class DomainSchedule:
         d = self.domains[j]
         return [(d.kind, d.severity)]
 
-    def to_dict(self) -> dict:
-        return {
-            "domains": [{"kind": d.kind.value, "severity": d.severity} for d in self.domains],
-            "batches_per_domain": self.batches_per_domain,
-            "transition": {"kind": self.transition.kind, "ramp_batches": self.transition.ramp_batches},
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DomainSchedule":
-        return cls(
-            domains=tuple(Domain(CorruptionKind(x["kind"]), float(x["severity"])) for x in d["domains"]),
-            batches_per_domain=int(d["batches_per_domain"]),
-            transition=Transition(
-                kind=d["transition"]["kind"],
-                ramp_batches=int(d["transition"].get("ramp_batches", 0)),
-            ),
-            seed=int(d["seed"]),
-        )
-
 
 @dataclass(frozen=True)
 class LabeledBatch:

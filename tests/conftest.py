@@ -21,10 +21,9 @@ def make_state(
     t_min=None,
     steps_since_reset=None,
     alpha=0.5,
-    warmup_steps=10,
 ):
     """Signal state with fields set directly, bypassing the update path."""
-    state = FlipSignalState(alpha=alpha, warmup_steps=warmup_steps)
+    state = FlipSignalState(alpha=alpha)
     state.lf_ema = lf_ema
     state.lf_min = lf_min
     state.t = t

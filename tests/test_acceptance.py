@@ -61,7 +61,7 @@ def test_criterion_1_formula_oracles():
 
     # ema / min / slope against recomputation from the stored raw history
     raws = rng.normal(0.0, 0.05, 1100)
-    state = FlipSignalState(alpha=0.5, warmup_steps=0)
+    state = FlipSignalState(alpha=0.5)
     ema_hist: list[float] = []
     slope_checks = 0
     for t, raw in enumerate(raws, start=1):
@@ -256,7 +256,7 @@ def test_criterion_6_trigger_semantics():
     ramp = [0.01 + 1e-4 * k for k in range(1, 301)]
 
     # piecewise trajectory: step-by-step trigger equals the offline scan
-    state = FlipSignalState(alpha=0.5, warmup_steps=cfg.warmup_steps)
+    state = FlipSignalState(alpha=0.5)
     first_fire = None
     for t, raw in enumerate(flat + ramp, start=1):
         state.update_ema(raw)
@@ -267,7 +267,7 @@ def test_criterion_6_trigger_semantics():
     assert first_fire == oracle == TRIGGER_FIRST_FIRE
 
     # flat trajectories never fire
-    state = FlipSignalState(alpha=0.5, warmup_steps=cfg.warmup_steps)
+    state = FlipSignalState(alpha=0.5)
     for raw in flat:
         state.update_ema(raw)
         state.update_min()
@@ -277,7 +277,7 @@ def test_criterion_6_trigger_semantics():
     rng = np.random.default_rng(3)
     policy = BalancedReset(TriggerConfig(beta=1e-9, warmup_steps=10))
     model = ModelState.initialize(3, 4, rng)
-    st = FlipSignalState(warmup_steps=10)
+    st = FlipSignalState()
     fired = []
     for t, raw in enumerate(np.abs(rng.normal(0, 1, 400)).cumsum(), start=1):
         st.update_ema(float(raw))
@@ -313,7 +313,7 @@ def test_criterion_8_policy_algebra():
     def replay(policy):
         rng = np.random.default_rng(11)
         model = ModelState.initialize(3, 4, rng)
-        state = FlipSignalState(warmup_steps=trigger.warmup_steps)
+        state = FlipSignalState()
         fired, thetas = [], []
         for t, raw in enumerate(raws, start=1):
             model.theta = model.theta + 0.01  # identical synthetic drift per step

@@ -1,0 +1,126 @@
+"""Config parsing contract: a config is accepted with the meaning it states
+or rejected with exit code 1 and a message naming the bad key."""
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flipreset.cli import main
+from flipreset.config import ConfigError, ExperimentConfig, config_from_dict
+from flipreset.policy import POLICY_KINDS
+from flipreset.stream import CorruptionKind
+
+SMALL = {
+    "stream": {"num_domains": 2, "batches_per_domain": 10},
+    "learner": {"loss": "entropy", "pretrain": {"samples_per_class": 50, "epochs": 20}},
+    "policy": {"kind": "abr"},
+    "batch_size": 16,
+    "seeds": [0],
+}
+
+# (path of the key to set, its value, text the error must name)
+MALFORMED = [
+    (("normalize_flip",), "false", "normalize_flip"),
+    (("batch_size",), True, "batch_size"),
+    (("seeds",), "01", "seeds"),
+    (("policy",), {"kind": "fixed_interval", "period": 2.7}, "period"),
+    (("learner", "learning_rate"), "nan", "learning_rate"),
+    (("learner", "learning_rate"), float("nan"), "learning_rate"),
+    (("policies",), [1], "policies"),
+    (("learner",), {"loss": "rpl", "q": 1.5}, "q"),
+    (("stream", "n_classes"), 1, "n_classes"),
+    (("stream", "n_features"), 3, "n_features"),
+    (("stream", "num_domains"), 0, "num_domains"),
+    (("policy",), {"kind": "hard_reset", "force_lambda": 0.5}, "force_lambda"),
+    (("policy",), {"kind": "abr", "trigger": {"beta": 1e-6}}, "trigger"),
+    (("policy",), {"kind": "reset_sometimes"}, "kind"),
+    (("stream", "domains"), [{"kind": "fog", "severity": 1.0}], "fog"),
+]
+
+
+@pytest.mark.parametrize(("path", "value", "named"), MALFORMED, ids=[m[2] for m in MALFORMED])
+def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, path, value, named):
+    raw = copy.deepcopy(SMALL)
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))  # float("nan") is written as JSON NaN
+    assert main(["run", "--config", str(config), "--quiet"]) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_json_integer_in_float_field_becomes_float():
+    config = config_from_dict({"learner": {"learning_rate": 1}, "policy": {"kind": "abr"}, "batch_size": 32})
+    assert type(config.learner.learning_rate) is float
+    assert config.policy.trigger.time_unit_scale == 32.0
+
+
+# JSON values of every type, with the schema's own words among the strings
+WORDS = [*POLICY_KINDS, *(kind.value for kind in CorruptionKind), "abrupt", "linear", "entropy", "rpl"]
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(WORDS) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def mostly(good):
+    """``good`` seven times in eight, else any JSON value."""
+    return st.integers(0, 7).flatmap(lambda i: good if i else JSON)
+
+
+def obj(**keys):
+    """JSON objects holding any subset of ``keys``; now and then any JSON value instead."""
+    return mostly(st.fixed_dictionaries({}, optional={k: mostly(v) for k, v in keys.items()}))
+
+
+COUNTS = st.integers(-1, 40)
+NUMBERS = st.floats(-1.0, 5.0) | st.integers(-1, 5)
+POLICY = obj(
+    kind=st.sampled_from([*POLICY_KINDS, "other"]),
+    period=COUNTS,
+    times=st.lists(COUNTS, max_size=4),
+    beta=NUMBERS,
+    warmup_steps=COUNTS,
+    time_unit_scale=NUMBERS,
+    force_lambda=st.none() | st.floats(-0.5, 1.5),
+)
+CONFIGS = obj(
+    stream=obj(
+        num_domains=COUNTS,
+        batches_per_domain=COUNTS,
+        transition=st.just("abrupt") | obj(kind=st.sampled_from(["abrupt", "linear"]), ramp_batches=COUNTS),
+        n_classes=st.integers(0, 6),
+        n_features=st.integers(0, 8),
+        class_separation=NUMBERS,
+        severity_ranges=st.dictionaries(st.sampled_from(WORDS), st.lists(NUMBERS, max_size=3), max_size=3),
+        domains=st.lists(obj(kind=st.sampled_from(WORDS), severity=NUMBERS), max_size=3),
+    ),
+    learner=obj(
+        loss=st.sampled_from(["entropy", "rpl", "other"]),
+        q=NUMBERS,
+        learning_rate=NUMBERS,
+        momentum=NUMBERS,
+        pretrain=obj(samples_per_class=COUNTS, epochs=COUNTS, learning_rate=NUMBERS, holdout_fraction=NUMBERS),
+    ),
+    policy=POLICY,
+    policies=st.dictionaries(st.text(max_size=3), mostly(POLICY), max_size=3),
+    batch_size=COUNTS,
+    seeds=st.lists(COUNTS, max_size=3),
+    normalize_flip=st.booleans(),
+    output=st.none() | st.text(max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONFIGS)
+def test_any_json_object_is_a_config_or_a_config_error(d):
+    try:
+        config = config_from_dict(d)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)

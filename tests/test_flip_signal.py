@@ -198,7 +198,6 @@ class TestResetSignal:
         state.reset_signal()
         assert state.t == 17
         assert state.lf_ema is None and state.lf_min is None and state.t_min is None
-        assert not state.seeded
         assert state.steps_since_reset == 0
 
     def test_post_reset_reseeds_from_raw(self, rng):
@@ -220,12 +219,13 @@ class TestResetSignal:
         assert state.t_min == 10 + int(np.argmin(emas)) + 1
 
     def test_warmup_window(self):
-        state = FlipSignalState(warmup_steps=3)
-        flags = []
+        state = FlipSignalState()
+        counts = []
         for raw in [0.1] * 5:
             state.update_ema(raw)
-            flags.append(state.warmed_up)
-        assert flags == [False, False, False, True, True]
+            counts.append(state.steps_since_reset)
+        assert counts == [1, 2, 3, 4, 5]
         state.reset_signal()
+        assert state.steps_since_reset == 0
         state.update_ema(0.1)
-        assert not state.warmed_up
+        assert state.steps_since_reset == 1 and state.t == 6

@@ -35,7 +35,7 @@ def fires_slope_form(delta_lf, delta_t, beta, scale):
 
 def run_policy(policy, raws, model):
     """Drive a policy over a fixed raw score sequence; returns decisions."""
-    state = FlipSignalState(warmup_steps=getattr(policy, "trigger", TriggerConfig()).warmup_steps)
+    state = FlipSignalState()
     decisions = []
     for raw in raws:
         state.update_ema(raw)
@@ -86,7 +86,7 @@ class TestTriggerCheck:
 
     def test_flat_trajectory_never_fires(self):
         cfg = TriggerConfig(beta=2e-6, warmup_steps=0)
-        state = FlipSignalState(warmup_steps=0)
+        state = FlipSignalState()
         for _ in range(50):
             state.update_ema(0.05)
             state.update_min()
@@ -120,7 +120,7 @@ class TestTriggerCheck:
     def test_monotone_in_beta(self, rng):
         # pure scan over one fixed trajectory: larger beta fires on a subset of steps
         raws = np.abs(rng.normal(0, 0.02, 400)).cumsum() * 1e-3
-        state = FlipSignalState(warmup_steps=0)
+        state = FlipSignalState()
         betas = (1e-6, 1e-5, 1e-4)
         fired = {b: [] for b in betas}
         for raw in raws:
@@ -227,7 +227,7 @@ class TestPolicyStep:
         model = tiny_model(rng)
         theta_before = model.theta.copy()
         model.velocity = rng.normal(0, 1, model.theta.size)
-        state = FlipSignalState(warmup_steps=0)
+        state = FlipSignalState()
         for raw in [0.0] * 3 + [0.5]:
             state.update_ema(raw)
             state.update_min()
@@ -236,12 +236,12 @@ class TestPolicyStep:
         assert model.theta.tobytes() == model.theta_source.tobytes()
         assert model.theta_prev_snapshot.tobytes() == model.theta.tobytes()
         assert not model.velocity.any()
-        assert state.t == 4 and not state.seeded
+        assert state.t == 4 and state.lf_ema is None
 
     def test_abr_uses_adaptive_lambda(self, rng):
         model = tiny_model(rng)
         policy = BalancedReset(TriggerConfig(beta=1e-9, warmup_steps=0))
-        state = FlipSignalState(warmup_steps=0)
+        state = FlipSignalState()
         for raw in [0.1, 0.1, 0.3]:
             state.update_ema(raw)
             state.update_min()
@@ -289,7 +289,7 @@ class TestPolicyStep:
 
     def test_decision_diagnostics_populated(self, rng):
         model = tiny_model(rng)
-        state = FlipSignalState(warmup_steps=0)
+        state = FlipSignalState()
         for raw in [0.1, 0.2, 0.3]:
             state.update_ema(raw)
             state.update_min()

@@ -45,10 +45,6 @@ class TestMakeSchedule:
             if d.kind is CorruptionKind.GAUSSIAN_NOISE:
                 assert 0.1 <= d.severity <= 0.2
 
-    def test_dict_round_trip(self):
-        sched = make_schedule(7, 4, Transition(kind="linear", ramp_batches=2), seed=5)
-        assert DomainSchedule.from_dict(sched.to_dict()) == sched
-
 
 class TestSampleBatch:
     def test_bit_for_bit_determinism(self):
