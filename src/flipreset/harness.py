@@ -9,7 +9,7 @@ own channel, and learner init/pretraining from a third.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -130,28 +130,38 @@ def run_experiment(
     seed: int,
     policy: ResetPolicy | None = None,
     policy_name: str | None = None,
+    *,
+    model: ModelState | None = None,
 ) -> ExperimentLog:
     """One deterministic run: per batch, adapt, score the flip signal, let the
     policy act, and log one row.
 
+    ``model``, the seed's source model from :func:`build_model`, saves the
+    run its own pretraining: the run adapts a copy restarted at
+    ``model.theta_source`` with zero velocity and leaves ``model`` unchanged.
+
     Raises :class:`DivergenceError` (carrying the partial log and the failing
-    step) if the loss or parameters go non-finite.
+    step) if the loss or parameters, or a batch of the stream, go non-finite.
     """
     policy = config.policy if policy is None else policy
     if policy_name is None:
         policy_name = _policy_label(policy)
     source = config.stream.source
-    model, _ = build_model(config, seed)
+    if model is None:
+        model, _ = build_model(config, seed)
+    else:
+        model = replace(model)
+        model.replace_weights(model.theta_source)
     schedule = build_schedule(config, seed)
     loss = config.learner.adapt_loss
     state = FlipSignalState()
 
     log = ExperimentLog(policy_name=policy_name, seed=seed)
     for t in range(1, schedule.horizon + 1):
-        batch = sample_batch(schedule, t, source, config.batch_size)
         try:
-            # downstream guards (softmax, confidence bounds, EMA) raise
-            # ValueError once the numerics blow up
+            # the stream's and the downstream guards (softmax, confidence
+            # bounds, EMA) raise ValueError once the numerics blow up
+            batch = sample_batch(schedule, t, source, config.batch_size)
             prev_pred, curr_pred = adapt_batch(model, batch.features, loss)
             if not np.isfinite(model.theta).all():
                 raise ValueError(f"non-finite parameters at step {t}")
@@ -226,7 +236,9 @@ def compare_policies(
 ) -> ComparisonSummary:
     """Run every (policy, seed) cell on bit-identical per-seed streams.
 
-    A diverging cell is marked failed rather than sinking the comparison.
+    Each seed's source model is pretrained once and every policy adapts a
+    copy of it. A diverging cell is marked failed rather than sinking the
+    comparison.
     """
     policies = config.policies if policies is None else policies
     if policies is None or len(policies) < 2:
@@ -234,10 +246,13 @@ def compare_policies(
     seeds = config.seeds if seeds is None else tuple(seeds)
 
     cells: dict[str, dict[int, dict]] = {name: {} for name in policies}
-    for name, policy in policies.items():
-        for seed in seeds:
+    for seed in seeds:
+        model = None  # pretrained in the seed's first cell, shared by the rest
+        for name, policy in policies.items():
             try:
-                log = run_experiment(config, seed, policy=policy, policy_name=name)
+                if model is None:
+                    model, _ = build_model(config, seed)
+                log = run_experiment(config, seed, policy=policy, policy_name=name, model=model)
             except DivergenceError as exc:
                 cells[name][seed] = {"failed": True, "aborted_at": exc.step}
                 continue

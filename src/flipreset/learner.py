@@ -171,22 +171,6 @@ def rpl_grad(theta: np.ndarray, batch: np.ndarray, q: float = 0.8) -> np.ndarray
     return np.concatenate([gw.ravel(), gz.sum(axis=0)])
 
 
-def _cross_entropy_loss(theta: np.ndarray, batch: np.ndarray, labels: np.ndarray) -> float:
-    p = np.atleast_2d(softmax_forward(theta, batch))
-    return float(-np.mean(np.log(p[np.arange(len(labels)), labels] + EPS)))
-
-
-def _cross_entropy_grad(theta: np.ndarray, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    batch = _as_batch(batch)
-    p = softmax_forward(theta, batch)
-    n = batch.shape[0]
-    gz = p.copy()
-    gz[np.arange(n), labels] -= 1.0
-    gz /= n
-    gw = gz.T @ batch
-    return np.concatenate([gw.ravel(), gz.sum(axis=0)])
-
-
 def _frozen_copy(theta: np.ndarray) -> np.ndarray:
     out = theta.copy()
     out.setflags(write=False)
@@ -282,11 +266,17 @@ def pretrain_source(
         momentum=adapt_momentum,
     )
     x_train, y_train = features[train_idx], labels[train_idx]
+    label_at = (np.arange(len(y_train)), y_train)
     for epoch in range(epochs):
-        loss = _cross_entropy_loss(model.theta, x_train, y_train)
-        if not np.isfinite(loss):
+        # one softmax pass serves the loss check and, edited in place into
+        # dloss/dlogits, the cross-entropy gradient
+        p = softmax_forward(model.theta, x_train)
+        if not np.isfinite(-np.mean(np.log(p[label_at] + EPS))):
             raise DivergenceError(f"pretraining loss non-finite at epoch {epoch}", step=epoch)
-        model.theta = model.theta - learning_rate * _cross_entropy_grad(model.theta, x_train, y_train)
+        p[label_at] -= 1.0
+        p /= len(y_train)
+        grad = np.concatenate([(p.T @ x_train).ravel(), p.sum(axis=0)])
+        model.theta = model.theta - learning_rate * grad
 
     model.theta_source = _frozen_copy(model.theta)
     model.theta_prev_snapshot = model.theta.copy()

@@ -77,6 +77,29 @@ class TestExitCodes:
         assert len(lines) > 1  # completed rows flushed before the abort
 
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_stream_exits_two_and_flushes_rows(self, tmp_path, capsys):
+        cfg = dict(SMALL)
+        # a finite severity whose scaled features overflow to inf
+        cfg["stream"] = {
+            "batches_per_domain": 5,
+            "domains": [
+                {"kind": "gaussian_noise", "severity": 0.5},
+                {"kind": "feature_scale", "severity": 1e308},
+            ],
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "partial.csv"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "aborted: non-finite features (row index 6)" in err
+        lines = out.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 6  # the five batches of the first domain
+
+
 class TestRun:
     def test_writes_csv_with_full_horizon(self, config_path, tmp_path, capsys):
         out = tmp_path / "log.csv"

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from flipreset import harness
 from flipreset.config import config_from_dict
 from flipreset.harness import (
     CSV_HEADER,
@@ -131,6 +132,26 @@ class TestRunExperiment:
         log = run_experiment(cfg, 5)
         assert len(log.rows) == 20
 
+    def test_shared_model_left_unchanged(self):
+        cfg = small_config()
+        model, _ = build_model(cfg, 2)
+        theta = model.theta.tobytes()
+        # neither policy resets at the last of the 100 steps, which would
+        # restore the source weights anyway
+        for policy in (NoReset(), FixedInterval(period=30)):
+            shared = run_experiment(cfg, 2, policy=policy, model=model)
+            assert model.theta.tobytes() == theta
+            assert model.theta_prev_snapshot.tobytes() == theta
+            assert not model.velocity.any()
+            assert rows_equal(shared, run_experiment(cfg, 2, policy=policy))
+
+    def test_given_model_restarts_at_source_weights(self):
+        cfg = small_config()
+        model, _ = build_model(cfg, 2)
+        model.replace_weights(model.theta + 1.0)
+        model.velocity += 1.0
+        assert rows_equal(run_experiment(cfg, 2, model=model), run_experiment(cfg, 2))
+
 
 def make_log(accs, resets=()):
     rows = [
@@ -217,6 +238,41 @@ class TestComparePolicies:
             assert summary.cells["a"][seed] == summary.cells["b"][seed]
         assert summary.aggregate("a", "mean_accuracy") == summary.aggregate("b", "mean_accuracy")
 
+    def test_pretrains_each_seed_once(self, monkeypatch):
+        calls = []
+
+        def counted(config, seed):
+            calls.append(seed)
+            return build_model(config, seed)
+
+        monkeypatch.setattr(harness, "build_model", counted)
+        policies = {"no_reset": NoReset(), "fixed": FixedInterval(period=20), "abr": small_config().policy}
+        compare_policies(small_config(), policies=policies, seeds=(0, 1))
+        assert calls == [0, 1]
+
+    def test_cells_equal_standalone_runs(self):
+        cfg = small_config()
+        policies = {"no_reset": NoReset(), "fixed": FixedInterval(period=20), "abr": cfg.policy}
+        summary = compare_policies(cfg, policies=policies, seeds=(0, 1))
+        for name, policy in policies.items():
+            for seed in (0, 1):
+                log = run_experiment(cfg, seed, policy=policy, policy_name=name)
+                assert summary.cells[name][seed] == {
+                    "mean_accuracy": log.mean_accuracy(),
+                    "final_accuracy": log.final_window_accuracy(),
+                    "reset_count": log.reset_count(),
+                }
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_pretraining_divergence_fails_every_cell_of_the_seed(self):
+        cfg = small_config(
+            stream={"num_domains": 2, "batches_per_domain": 5, "class_separation": 1e200},
+            learner={"pretrain": {"samples_per_class": 20, "epochs": 3, "learning_rate": 1e30}},
+        )
+        summary = compare_policies(cfg, policies={"a": NoReset(), "b": NoReset()}, seeds=(0,))
+        failed = {"failed": True, "aborted_at": 1}
+        assert summary.cells == {"a": {0: failed}, "b": {0: failed}}
+
     def test_needs_two_policies(self):
         cfg = small_config()
         with pytest.raises(ValueError, match="two policies"):
@@ -238,7 +294,13 @@ class TestComparePolicies:
             cfg, policies={"no_reset": NoReset(), "fixed_5": FixedInterval(period=5)}, seeds=(0,)
         )
         assert summary.cells["no_reset"][0]["failed"]
-        assert "mean_accuracy" in summary.cells["fixed_5"][0]
+        # the diverged cell left the seed's shared source model as it was
+        log = run_experiment(cfg, 0, policy=FixedInterval(period=5))
+        assert summary.cells["fixed_5"][0] == {
+            "mean_accuracy": log.mean_accuracy(),
+            "final_accuracy": log.final_window_accuracy(),
+            "reset_count": log.reset_count(),
+        }
         assert "diverged" in summary.table()
 
     def test_table_layout(self):

@@ -265,11 +265,39 @@ class TestPretrainSource:
         assert not model.theta_source.flags.writeable
         assert model.theta_source.tobytes() == model.theta.tobytes()
 
+    def test_matches_two_pass_reference_bitwise(self):
+        # the reference takes the loss and the gradient from two softmax passes
+        rng = np.random.default_rng(5)
+        k, d, n = 3, 4, 300
+        labels = rng.integers(0, k, n)
+        features = rng.normal(0, 1, (n, d)) + 1.5 * np.eye(k, d)[labels]
+        model, _ = pretrain_source(features, labels, n_classes=k, epochs=20, learning_rate=0.5, rng=rng)
+
+        replay = np.random.default_rng(5)
+        replay.integers(0, k, n)
+        replay.normal(0, 1, (n, d))
+        order = replay.permutation(n)
+        train = order[int(round(0.2 * n)) :]
+        x, y = features[train], labels[train]
+        idx = np.arange(len(y))
+        theta = 0.01 * replay.standard_normal(k * (d + 1))
+        for _ in range(20):
+            p = softmax_forward(theta, x)
+            assert np.isfinite(-np.mean(np.log(p[idx, y] + 1e-12)))
+            gz = softmax_forward(theta, x).copy()
+            gz[idx, y] -= 1.0
+            gz /= len(y)
+            theta = theta - 0.5 * np.concatenate([(gz.T @ x).ravel(), gz.sum(axis=0)])
+        assert model.theta.tobytes() == theta.tobytes()
+        assert model.theta_source.tobytes() == theta.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_raises(self, rng):
         features, labels = two_gaussians(rng)
-        features = features * 1e200  # overflow the logits immediately
-        with pytest.raises((DivergenceError, ValueError)):
+        features = features * 1e200  # overflow the logits after the first step
+        with pytest.raises(DivergenceError) as excinfo:
             pretrain_source(features, labels, n_classes=2, epochs=3, learning_rate=1e30, rng=rng)
+        assert excinfo.value.step == 1
 
 
 class TestAdaptBatch:
