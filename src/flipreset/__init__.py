@@ -9,7 +9,7 @@ clock-based baselines on synthetic drifting streams.
 """
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .flip_signal import FlipObservation, FlipSignalState, observe_batch
+from .flip_signal import FlipSignalState, observe_batch
 from .harness import (
     ComparisonSummary,
     ExperimentLog,

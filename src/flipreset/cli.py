@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,10 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seeds(config: ExperimentConfig, args) -> tuple[int, ...]:
-    return (args.seed,) if args.seed is not None else config.seeds
-
-
 def _resolve_out(path: str | None) -> str | None:
     """Re-root relative output paths under FLIPRESET_OUTDIR when it is set."""
     if path is None:
@@ -72,18 +69,15 @@ def _resolve_out(path: str | None) -> str | None:
 
 
 def _cmd_pretrain(config: ExperimentConfig, args) -> int:
-    seed = _seeds(config, args)[0]
+    seed = config.seeds[0]
     model, holdout = build_model(config, seed)
     args.out = _resolve_out(args.out)
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(
-            out,
-            theta=model.theta,
-            n_classes=model.n_classes,
-            n_features=model.n_features,
-        )
+        # savez appends ".npz" to a path but writes a file handle as given
+        with open(out, "wb") as fh:
+            np.savez(fh, theta=model.theta, n_classes=model.n_classes, n_features=model.n_features)
     if not args.quiet:
         print(f"seed={seed} holdout_accuracy={holdout:.4f}")
         if args.out:
@@ -104,7 +98,7 @@ def _run_and_write(config: ExperimentConfig, seed: int, out: str | None, fmt_hin
 
 
 def _cmd_run(config: ExperimentConfig, args) -> int:
-    seed = _seeds(config, args)[0]
+    seed = config.seeds[0]
     out = _resolve_out(args.out or config.output)
     fmt = None if out is None or Path(out).suffix.lower() in (".csv", ".jsonl") else "csv"
     log = _run_and_write(config, seed, out, fmt)
@@ -131,7 +125,7 @@ def _cmd_compare(config: ExperimentConfig, args) -> int:
         policies = {name: policies[name] for name in wanted}
     if len(policies) < 2:
         raise ConfigError("compare needs at least two policies after filtering")
-    summary = compare_policies(config, policies=policies, seeds=_seeds(config, args))
+    summary = compare_policies(config, policies=policies)
     table = summary.table()
     args.out = _resolve_out(args.out)
     if args.out:
@@ -148,7 +142,7 @@ def _cmd_export(config: ExperimentConfig, args) -> int:
         raise ConfigError("export requires --out with a .csv or .jsonl suffix")
     if Path(args.out).suffix.lower() not in (".csv", ".jsonl"):
         raise ConfigError(f"export target must end in .csv or .jsonl, got {args.out!r}")
-    seed = _seeds(config, args)[0]
+    seed = config.seeds[0]
     args.out = _resolve_out(args.out)
     _run_and_write(config, seed, args.out, None)
     if not args.quiet:
@@ -169,6 +163,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = load_config(args.config)
+        if args.seed is not None:
+            # through the config's own checks, like a seed from the file
+            config = replace(config, seeds=(args.seed,))
         return _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -177,7 +174,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:
-        print(f"aborted: {exc} (row index {exc.step})", file=sys.stderr)
+        # a pretraining divergence has no log, and its step is an epoch
+        where = "" if exc.log is None else f" (row index {exc.step})"
+        print(f"aborted: {exc}{where}", file=sys.stderr)
         return 2
 
 

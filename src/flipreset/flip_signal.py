@@ -10,47 +10,17 @@ trajectory serves as the reference point for upward-trend detection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FlipObservation", "FlipSignalState", "observe_batch"]
+__all__ = ["FlipSignalState", "observe_batch"]
 
 
-@dataclass(frozen=True)
-class FlipObservation:
-    """Per-sample flip records for one batch.
-
-    ``flipped[i]`` is true iff the two snapshots disagree on sample i's
-    predicted class; ``conf_curr`` / ``conf_prev`` are each snapshot's
-    probability of its own predicted class.
-    """
-
-    flipped: np.ndarray
-    conf_curr: np.ndarray
-    conf_prev: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = len(self.flipped)
-        if n < 1:
-            raise ValueError("empty batch")
-        if len(self.conf_curr) != n or len(self.conf_prev) != n:
-            raise ValueError("record arrays must have equal length")
-        for name, conf in (("conf_curr", self.conf_curr), ("conf_prev", self.conf_prev)):
-            # nan fails both comparisons, so this also rejects non-finite values
-            if not (conf.min() >= 0.0 and conf.max() <= 1.0):
-                raise ValueError(f"{name} outside [0, 1]")
-
-    @property
-    def batch_size(self) -> int:
-        return len(self.flipped)
-
-
-def observe_batch(prev, curr, normalize: bool = True) -> tuple[FlipObservation, float]:
-    """Compare two snapshots' predictions on the same batch.
+def observe_batch(prev, curr, normalize: bool = True) -> float:
+    """Raw flip score of two snapshots' predictions on the same batch.
 
     ``prev`` and ``curr`` carry per-sample ``classes`` and ``confidence``
-    arrays over identical samples in identical order. The raw score sums
+    arrays over identical samples in identical order. The score sums
     flipped samples' ``conf_curr * (conf_curr - conf_prev)``; when
     ``normalize`` is set the sum is divided by the batch size so the
     trajectory is comparable across batch sizes.
@@ -62,18 +32,17 @@ def observe_batch(prev, curr, normalize: bool = True) -> tuple[FlipObservation, 
             f"prediction sets cover different sample counts: "
             f"{prev_classes.shape[0]} vs {curr_classes.shape[0]}"
         )
-    if prev_classes.size == 0:
+    n = prev_classes.size
+    if n == 0:
         raise ValueError("empty batch")
-
-    obs = FlipObservation(
-        flipped=prev_classes != curr_classes,
-        conf_curr=np.asarray(curr.confidence, dtype=float),
-        conf_prev=np.asarray(prev.confidence, dtype=float),
-    )
-    raw = float((obs.flipped * obs.conf_curr * (obs.conf_curr - obs.conf_prev)).sum())
-    if normalize:
-        raw /= obs.batch_size
-    return obs, raw
+    conf_curr = np.asarray(curr.confidence, dtype=float)
+    conf_prev = np.asarray(prev.confidence, dtype=float)
+    for name, conf in (("conf_curr", conf_curr), ("conf_prev", conf_prev)):
+        # nan fails both comparisons, so this also rejects non-finite values
+        if not (conf.min() >= 0.0 and conf.max() <= 1.0):
+            raise ValueError(f"{name} outside [0, 1]")
+    raw = float(((prev_classes != curr_classes) * conf_curr * (conf_curr - conf_prev)).sum())
+    return raw / n if normalize else raw
 
 
 class FlipSignalState:

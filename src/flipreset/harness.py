@@ -149,9 +149,8 @@ def run_experiment(
     source = config.stream.source
     if model is None:
         model, _ = build_model(config, seed)
-    else:
-        model = replace(model)
-        model.replace_weights(model.theta_source)
+    model = replace(model)
+    model.replace_weights(model.theta_source)
     schedule = build_schedule(config, seed)
     loss = config.learner.adapt_loss
     state = FlipSignalState()
@@ -166,7 +165,7 @@ def run_experiment(
             if not np.isfinite(model.theta).all():
                 raise ValueError(f"non-finite parameters at step {t}")
             accuracy = int(np.count_nonzero(curr_pred.classes == batch.labels)) / len(batch.labels)
-            _, raw = observe_batch(prev_pred, curr_pred, normalize=config.normalize_flip)
+            raw = observe_batch(prev_pred, curr_pred, normalize=config.normalize_flip)
             state.update_ema(raw)
         except ValueError as exc:
             log.aborted_at = t

@@ -66,18 +66,15 @@ class TriggerConfig:
 class PolicyDecision:
     """Per-step verdict. ``lam`` is the restore ratio, present iff re-initializing."""
 
-    reinitialize: bool
     lam: float | None = None
     slope: float | None = None
     threshold: float | None = None
     delta_lf: float | None = None
     delta_t: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.reinitialize != (self.lam is not None):
-            raise ValueError("lam must be present exactly when re-initializing")
-        if self.lam is not None and not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam outside [0, 1]: {self.lam}")
+    @property
+    def reinitialize(self) -> bool:
+        return self.lam is not None
 
 
 @dataclass(frozen=True)
@@ -265,13 +262,7 @@ def policy_step(
     else:
         raise TypeError(f"unknown policy: {policy!r}")
 
-    if lam is None:
-        return PolicyDecision(
-            reinitialize=False, slope=s, threshold=thr, delta_lf=delta_lf, delta_t=delta_t
-        )
-
-    model.replace_weights(blend_weights(model.theta_source, model.theta, lam))
-    state.reset_signal()
-    return PolicyDecision(
-        reinitialize=True, lam=lam, slope=s, threshold=thr, delta_lf=delta_lf, delta_t=delta_t
-    )
+    if lam is not None:
+        model.replace_weights(blend_weights(model.theta_source, model.theta, lam))
+        state.reset_signal()
+    return PolicyDecision(lam=lam, slope=s, threshold=thr, delta_lf=delta_lf, delta_t=delta_t)

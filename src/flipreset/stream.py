@@ -23,7 +23,6 @@ __all__ = [
     "SourceDistribution",
     "DomainSchedule",
     "LabeledBatch",
-    "EndOfStream",
     "make_schedule",
     "apply_corruption",
     "sample_batch",
@@ -32,10 +31,6 @@ __all__ = [
 # rng stream channels: schedule generation / per-batch sampling
 _SCHEDULE_CHANNEL = 0
 _BATCH_CHANNEL = 1
-
-
-class EndOfStream(Exception):
-    """Requested batch index lies beyond the schedule horizon."""
 
 
 class CorruptionKind(str, Enum):
@@ -137,7 +132,7 @@ class DomainSchedule:
     def domain_index_at(self, t: int) -> int:
         """Domain owning 1-based batch index t."""
         if not 1 <= t <= self.horizon:
-            raise EndOfStream(f"batch index {t} outside 1..{self.horizon}")
+            raise ValueError(f"batch index {t} outside 1..{self.horizon}")
         return (t - 1) // self.batches_per_domain
 
     def active_corruptions(self, t: int) -> list[tuple[CorruptionKind, float]]:

@@ -99,6 +99,25 @@ class TestExitCodes:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 6  # the five batches of the first domain
 
+    @pytest.mark.parametrize("command", ["run", "pretrain"])
+    def test_negative_seed_override_rejected(self, command, config_path, capsys):
+        assert main([command, "--config", config_path, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "seeds must be non-negative" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["run", "pretrain"])
+    def test_pretraining_divergence_names_epoch(self, command, tmp_path, capsys):
+        cfg = dict(SMALL)
+        cfg["learner"] = {"pretrain": {"samples_per_class": 100, "epochs": 60, "learning_rate": 1e308}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "aborted: pretraining loss non-finite at epoch 1" in err
+        assert "row index" not in err
+
 
 class TestRun:
     def test_writes_csv_with_full_horizon(self, config_path, tmp_path, capsys):
@@ -178,6 +197,13 @@ class TestExportAndPretrain:
         data = np.load(out)
         assert data["theta"].shape == (4 * 17,)
         assert int(data["n_classes"]) == 4
+
+    def test_pretrain_writes_exactly_out(self, config_path, tmp_path, capsys):
+        out = tmp_path / "w.bin"
+        assert main(["pretrain", "--config", config_path, "--out", str(out)]) == 0
+        assert f"weights written to {out}" in capsys.readouterr().out
+        assert not (tmp_path / "w.bin.npz").exists()
+        assert np.load(out)["theta"].shape == (4 * 17,)
 
 
 class TestOutputDirOverride:

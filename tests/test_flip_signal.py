@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flipreset.flip_signal import FlipObservation, FlipSignalState, observe_batch
+from flipreset.flip_signal import FlipSignalState, observe_batch
 from flipreset.learner import Prediction
 
 from conftest import drive
@@ -26,29 +26,29 @@ class TestObserveBatch:
     def test_two_sample_example(self):
         prev = pred([0, 1], [0.6, 0.9])
         curr = pred([1, 1], [0.8, 0.7])
-        obs, raw = observe_batch(prev, curr)
-        assert obs.flipped.tolist() == [True, False]
+        raw = observe_batch(prev, curr)
+        assert isinstance(raw, float)
         assert raw == pytest.approx(0.08, abs=1e-15)
 
     def test_no_flips_gives_zero(self):
         prev = pred([2, 0, 1], [0.5, 0.6, 0.7])
         curr = pred([2, 0, 1], [0.9, 0.1, 0.3])
-        _, raw = observe_batch(prev, curr)
+        raw = observe_batch(prev, curr)
         assert raw == 0.0
 
     def test_mixed_flips_with_confidence_drop_matches_loop_oracle(self):
         # sample 0 flips with a confidence decrease, sample 2 flips with a gain
         prev = pred([0, 1, 2], [0.7, 0.2, 0.5])
         curr = pred([1, 1, 3], [0.5, 0.9, 0.6])
-        _, raw = observe_batch(prev, curr)
+        raw = observe_batch(prev, curr)
         assert raw == pytest.approx(loop_raw(prev, curr), abs=1e-12)
         assert raw == pytest.approx((0.5 * -0.2 + 0.6 * 0.1) / 3, abs=1e-12)
 
     def test_normalization_flag(self, rng):
         prev = pred(rng.integers(0, 4, 32), rng.uniform(0, 1, 32))
         curr = pred(rng.integers(0, 4, 32), rng.uniform(0, 1, 32))
-        _, raw_norm = observe_batch(prev, curr)
-        _, raw_bare = observe_batch(prev, curr, normalize=False)
+        raw_norm = observe_batch(prev, curr)
+        raw_bare = observe_batch(prev, curr, normalize=False)
         assert raw_bare == pytest.approx(32 * raw_norm, rel=1e-12)
         assert raw_bare == pytest.approx(loop_raw(prev, curr, normalize=False), abs=1e-12)
 
@@ -64,14 +64,22 @@ class TestObserveBatch:
         with pytest.raises(ValueError, match="conf_curr"):
             observe_batch(pred([0], [0.5]), pred([1], [1.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["conf_curr", "conf_prev"])
+    def test_non_finite_confidence_rejected(self, bad, field):
+        conf = {"conf_curr": [0.5, 0.6], "conf_prev": [0.1, 0.2]}
+        conf[field][1] = bad
+        with pytest.raises(ValueError, match=field):
+            observe_batch(pred([0, 1], conf["conf_prev"]), pred([1, 1], conf["conf_curr"]))
+
     def test_permutation_invariance(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 50))
             prev = pred(rng.integers(0, 4, n), rng.uniform(0, 1, n))
             curr = pred(rng.integers(0, 4, n), rng.uniform(0, 1, n))
             perm = rng.permutation(n)
-            _, raw = observe_batch(prev, curr)
-            _, raw_p = observe_batch(
+            raw = observe_batch(prev, curr)
+            raw_p = observe_batch(
                 pred(prev.classes[perm], prev.confidence[perm]),
                 pred(curr.classes[perm], curr.confidence[perm]),
             )
@@ -84,32 +92,8 @@ class TestObserveBatch:
             curr_conf = prev_conf + rng.uniform(0, 1, n) * (1 - prev_conf)
             prev = pred(rng.integers(0, 3, n), prev_conf)
             curr = pred(rng.integers(0, 3, n), curr_conf)
-            _, raw = observe_batch(prev, curr)
+            raw = observe_batch(prev, curr)
             assert raw >= 0.0
-
-
-class TestFlipObservation:
-    def test_invariants_validated(self):
-        with pytest.raises(ValueError):
-            FlipObservation(
-                flipped=np.array([True]),
-                conf_curr=np.array([0.5, 0.6]),
-                conf_prev=np.array([0.5]),
-            )
-        obs = FlipObservation(
-            flipped=np.array([True, False]),
-            conf_curr=np.array([0.5, 0.6]),
-            conf_prev=np.array([0.1, 0.2]),
-        )
-        assert obs.batch_size == 2
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field", ["conf_curr", "conf_prev"])
-    def test_non_finite_confidence_rejected(self, bad, field):
-        conf = {"conf_curr": np.array([0.5, 0.6]), "conf_prev": np.array([0.1, 0.2])}
-        conf[field][1] = bad
-        with pytest.raises(ValueError, match=field):
-            FlipObservation(flipped=np.array([True, False]), **conf)
 
 
 class TestUpdateEma:

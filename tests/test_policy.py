@@ -195,13 +195,11 @@ class TestBlendWeights:
 
 
 class TestPolicyDecision:
-    def test_lambda_presence_invariant(self):
-        with pytest.raises(ValueError):
-            PolicyDecision(reinitialize=True, lam=None)
-        with pytest.raises(ValueError):
-            PolicyDecision(reinitialize=False, lam=0.5)
-        with pytest.raises(ValueError):
-            PolicyDecision(reinitialize=True, lam=1.2)
+    def test_reinitialize_follows_lam(self):
+        assert not PolicyDecision().reinitialize
+        assert not PolicyDecision(slope=0.1, threshold=0.2, delta_lf=0.3, delta_t=4).reinitialize
+        assert PolicyDecision(lam=0.0).reinitialize
+        assert PolicyDecision(lam=1.0).reinitialize
 
 
 class TestPolicyStep:

@@ -9,7 +9,6 @@ from flipreset.stream import (
     CorruptionKind,
     Domain,
     DomainSchedule,
-    EndOfStream,
     SourceDistribution,
     Transition,
     apply_corruption,
@@ -87,9 +86,9 @@ class TestSampleBatch:
 
     def test_beyond_horizon_signals_end(self):
         sched = make_schedule(2, 5, Transition(), seed=0)
-        with pytest.raises(EndOfStream):
+        with pytest.raises(ValueError, match="batch index 11 outside 1..10"):
             sample_batch(sched, 11, SOURCE, 8)
-        with pytest.raises(EndOfStream):
+        with pytest.raises(ValueError, match="batch index 0 outside 1..10"):
             sched.domain_index_at(0)
 
     def test_domain_index_recorded(self):
