@@ -28,6 +28,9 @@ from flipreset.harness import export_log, run_experiment
 GOLDEN_RUNS = {
     "quick": ("configs/quick.json", "abr", 0),
     "collapse": ("configs/collapse.json", "abr", 0),
+    "bad_timing": ("configs/bad_timing.json", "bad_timing", 0),
+    "rpl_hard_reset": ("configs/rpl_ramp.json", "hard_reset", 0),
+    "rpl_fixed_interval": ("configs/rpl_ramp.json", "fixed_interval", 0),
 }
 
 
