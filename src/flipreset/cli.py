@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_out(path: str | None) -> str | None:
     """Re-root relative output paths under FLIPRESET_OUTDIR when it is set."""
-    if path is None:
+    if not path:
         return None
     outdir = os.environ.get("FLIPRESET_OUTDIR")
     if outdir and not Path(path).is_absolute():
@@ -71,7 +71,6 @@ def _resolve_out(path: str | None) -> str | None:
 def _cmd_pretrain(config: ExperimentConfig, args) -> int:
     seed = config.seeds[0]
     model, holdout = build_model(config, seed)
-    args.out = _resolve_out(args.out)
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -99,7 +98,7 @@ def _run_and_write(config: ExperimentConfig, seed: int, out: str | None, fmt_hin
 
 def _cmd_run(config: ExperimentConfig, args) -> int:
     seed = config.seeds[0]
-    out = _resolve_out(args.out or config.output)
+    out = args.out or _resolve_out(config.output)
     fmt = None if out is None or Path(out).suffix.lower() in (".csv", ".jsonl") else "csv"
     log = _run_and_write(config, seed, out, fmt)
     if not args.quiet:
@@ -127,7 +126,6 @@ def _cmd_compare(config: ExperimentConfig, args) -> int:
         raise ConfigError("compare needs at least two policies after filtering")
     summary = compare_policies(config, policies=policies)
     table = summary.table()
-    args.out = _resolve_out(args.out)
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -143,7 +141,6 @@ def _cmd_export(config: ExperimentConfig, args) -> int:
     if Path(args.out).suffix.lower() not in (".csv", ".jsonl"):
         raise ConfigError(f"export target must end in .csv or .jsonl, got {args.out!r}")
     seed = config.seeds[0]
-    args.out = _resolve_out(args.out)
     _run_and_write(config, seed, args.out, None)
     if not args.quiet:
         print(f"trajectory written to {args.out}")
@@ -162,6 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.out = _resolve_out(args.out)
         config = load_config(args.config)
         if args.seed is not None:
             # through the config's own checks, like a seed from the file

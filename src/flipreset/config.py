@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .learner import AdaptLoss, EntropyMin, RobustPseudoLabel
+from .learner import AdaptLoss, EntropyMin, RobustPseudoLabel, holdout_count
 from .policy import POLICY_KINDS, NoReset, ResetPolicy, TriggerConfig
 from .stream import CorruptionKind, Domain, DomainSchedule, SourceDistribution, Transition
 
@@ -72,6 +72,14 @@ class PretrainConfig:
     learning_rate: float = 0.5
     holdout_fraction: float = 0.2
 
+    def __post_init__(self) -> None:
+        if self.samples_per_class < 1:
+            raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise ValueError(f"holdout_fraction must lie in [0, 1), got {self.holdout_fraction}")
+
 
 @dataclass(frozen=True)
 class LearnerConfig:
@@ -110,6 +118,10 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative")
+        pre = self.learner.pretrain
+        n = pre.samples_per_class * self.stream.n_classes
+        if holdout_count(n, pre.holdout_fraction) >= n:
+            raise ConfigError(f"learner.pretrain.holdout_fraction leaves none of {n} samples to train on")
 
 
 # the JSON type that a scalar field's annotation asks for, and its name in messages

@@ -106,7 +106,8 @@ def build_schedule(config: ExperimentConfig, seed: int) -> DomainSchedule:
 
 
 def build_model(config: ExperimentConfig, seed: int) -> tuple[ModelState, float]:
-    """Pretrain the source classifier for one seed; returns (model, holdout accuracy)."""
+    """Pretrain the source classifier for one seed, with the config's
+    adaptation learning rate and momentum; returns (model, holdout accuracy)."""
     source = config.stream.source
     rng = np.random.default_rng([seed, _LEARNER_CHANNEL])
     pre = config.learner.pretrain
@@ -119,10 +120,9 @@ def build_model(config: ExperimentConfig, seed: int) -> tuple[ModelState, float]
         learning_rate=pre.learning_rate,
         rng=rng,
         holdout_fraction=pre.holdout_fraction,
-        adapt_learning_rate=config.learner.learning_rate,
-        adapt_momentum=config.learner.momentum,
     )
-    return model, holdout
+    learner = config.learner
+    return replace(model, learning_rate=learner.learning_rate, momentum=learner.momentum), holdout
 
 
 def run_experiment(
@@ -149,8 +149,7 @@ def run_experiment(
     source = config.stream.source
     if model is None:
         model, _ = build_model(config, seed)
-    model = replace(model)
-    model.replace_weights(model.theta_source)
+    model = replace(model, theta=model.theta_source)
     schedule = build_schedule(config, seed)
     loss = config.learner.adapt_loss
     state = FlipSignalState()

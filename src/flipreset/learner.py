@@ -8,7 +8,7 @@ whole models with one vector operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "rpl_loss",
     "rpl_grad",
     "sgd_step",
+    "holdout_count",
     "pretrain_source",
     "adapt_batch",
 ]
@@ -71,10 +72,11 @@ AdaptLoss = EntropyMin | RobustPseudoLabel
 
 
 def _as_batch(x) -> np.ndarray:
-    """``x`` as a 2-D float64 array; one that already is passes through."""
-    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
-        return x
-    return np.atleast_2d(np.asarray(x, dtype=float))
+    """``x`` as a 2-D float64 (samples, features) array; any other shape is rejected."""
+    batch = x if type(x) is np.ndarray and x.dtype == np.float64 else np.asarray(x, dtype=float)
+    if batch.ndim != 2:
+        raise ValueError(f"a batch must be 2-D (samples, features), got shape {batch.shape}")
+    return batch
 
 
 def _unpack(theta: np.ndarray, n_features: int) -> tuple[np.ndarray, np.ndarray]:
@@ -90,11 +92,9 @@ def _unpack(theta: np.ndarray, n_features: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def softmax_forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for a feature vector or a batch (max-shifted exp)."""
-    x = np.asarray(x, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    single = x.ndim == 1
+    """Class probabilities, one row per sample of a batch (max-shifted exp)."""
     batch = _as_batch(x)
+    theta = np.asarray(theta, dtype=float)
     w, b = _unpack(theta, batch.shape[1])
     # logit overflow yields nan probabilities, which downstream finiteness
     # guards report as divergence; no need for numpy to warn as well
@@ -108,22 +108,27 @@ def softmax_forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         z -= z.max(axis=1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
-    return p[0] if single else p
+    return p
 
 
 def predict(theta: np.ndarray, batch: np.ndarray) -> Prediction:
     """Argmax class per sample, ties broken toward the lowest class index."""
     p = softmax_forward(theta, batch)
-    if p.ndim == 1:
-        p = p[None]
     classes = p.argmax(axis=1)
     return Prediction(classes=classes, confidence=p[np.arange(len(classes)), classes])
 
 
 def entropy_loss(theta: np.ndarray, batch: np.ndarray) -> float:
     """Mean Shannon entropy of the predictions, log guarded by ``p + EPS``."""
-    p = np.atleast_2d(softmax_forward(theta, batch))
+    p = softmax_forward(theta, batch)
     return float(-np.sum(p * np.log(p + EPS), axis=1).mean())
+
+
+def _theta_grad(gz: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """theta's ``[W.ravel(), b]`` gradient of a batch-mean loss, from its
+    per-sample logit gradients ``gz``, which are divided in place."""
+    gz /= batch.shape[0]
+    return np.concatenate([(gz.T @ batch).ravel(), gz.sum(axis=0)])
 
 
 def entropy_grad(theta: np.ndarray, batch: np.ndarray) -> np.ndarray:
@@ -137,15 +142,12 @@ def entropy_grad(theta: np.ndarray, batch: np.ndarray) -> np.ndarray:
     # dH/dp then pull back through the softmax Jacobian
     p_eps = p + EPS
     v = -(np.log(p_eps) + p / p_eps)
-    gz = p * (v - (v * p).sum(axis=1, keepdims=True))
-    gz /= batch.shape[0]
-    gw = gz.T @ batch
-    return np.concatenate([gw.ravel(), gz.sum(axis=0)])
+    return _theta_grad(p * (v - (v * p).sum(axis=1, keepdims=True)), batch)
 
 
 def rpl_loss(theta: np.ndarray, batch: np.ndarray, labels: np.ndarray, q: float) -> float:
     """Generalized cross-entropy ``mean((1 - p_label^q) / q)`` with labels held fixed."""
-    p = np.atleast_2d(softmax_forward(theta, batch))
+    p = softmax_forward(theta, batch)
     p_label = p[np.arange(len(labels)), labels]
     return float(np.mean((1.0 - p_label**q) / q))
 
@@ -160,15 +162,12 @@ def rpl_grad(theta: np.ndarray, batch: np.ndarray, q: float = 0.8) -> np.ndarray
         raise ValueError(f"q must lie in (0, 1], got {q}")
     batch = _as_batch(batch)
     p = softmax_forward(theta, batch)
-    n = batch.shape[0]
-    idx = np.arange(n)
+    idx = np.arange(batch.shape[0])
     pseudo = p.argmax(axis=1)
     coef = p[idx, pseudo] ** q
     gz = p * coef[:, None]
     gz[idx, pseudo] -= coef
-    gz /= n
-    gw = gz.T @ batch
-    return np.concatenate([gw.ravel(), gz.sum(axis=0)])
+    return _theta_grad(gz, batch)
 
 
 def _frozen_copy(theta: np.ndarray) -> np.ndarray:
@@ -180,23 +179,22 @@ def _frozen_copy(theta: np.ndarray) -> np.ndarray:
 @dataclass
 class ModelState:
     """Adaptable classifier: current weights, the frozen source snapshot,
-    the previous-step snapshot, and SGD-with-momentum optimizer state."""
+    the previous-step snapshot, and SGD-with-momentum optimizer state. A new
+    model, ``dataclasses.replace``'s too, starts as :meth:`replace_weights` leaves it."""
 
     n_classes: int
     n_features: int
     theta: np.ndarray
     theta_source: np.ndarray
-    theta_prev_snapshot: np.ndarray
     learning_rate: float = 0.05
     momentum: float = 0.9
-    velocity: np.ndarray | None = None  # filled to zeros on construction
+    theta_prev_snapshot: np.ndarray = field(init=False)
+    velocity: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.velocity is None:
-            self.velocity = np.zeros_like(self.theta)
-        shapes = {self.theta.shape, self.theta_source.shape, self.theta_prev_snapshot.shape}
-        if len(shapes) != 1:
-            raise ValueError("theta, theta_source and theta_prev_snapshot must share a shape")
+        if self.theta.shape != self.theta_source.shape:
+            raise ValueError("theta and theta_source must share a shape")
+        self.replace_weights(self.theta)
 
     @classmethod
     def initialize(
@@ -209,15 +207,7 @@ class ModelState:
         init_scale: float = 0.01,
     ) -> "ModelState":
         theta = init_scale * rng.standard_normal(n_classes * (n_features + 1))
-        return cls(
-            n_classes=n_classes,
-            n_features=n_features,
-            theta=theta,
-            theta_source=_frozen_copy(theta),
-            theta_prev_snapshot=theta.copy(),
-            learning_rate=learning_rate,
-            momentum=momentum,
-        )
+        return cls(n_classes, n_features, theta, _frozen_copy(theta), learning_rate, momentum)
 
     def replace_weights(self, theta: np.ndarray) -> None:
         """Install re-initialized weights: the previous-step snapshot follows
@@ -235,6 +225,11 @@ def sgd_step(model: ModelState, gradient: np.ndarray) -> None:
     model.theta = model.theta - model.learning_rate * model.velocity
 
 
+def holdout_count(n: int, fraction: float) -> int:
+    """Samples of ``n`` held out of pretraining: none at ``fraction`` 0, else at least one."""
+    return max(1, int(round(fraction * n))) if fraction > 0 else 0
+
+
 def pretrain_source(
     features: np.ndarray,
     labels: np.ndarray,
@@ -243,28 +238,20 @@ def pretrain_source(
     learning_rate: float,
     rng: np.random.Generator,
     holdout_fraction: float = 0.2,
-    adapt_learning_rate: float = 0.05,
-    adapt_momentum: float = 0.9,
 ) -> tuple[ModelState, float]:
     """Supervised full-batch cross-entropy training on labeled source data.
 
     The trained weights are copied into the frozen source snapshot. Returns
     the model and its holdout accuracy.
     """
-    features = np.asarray(features, dtype=float)
+    features = _as_batch(features)
     labels = np.asarray(labels)
     n = len(labels)
-    n_holdout = max(1, int(round(holdout_fraction * n))) if holdout_fraction > 0 else 0
+    n_holdout = holdout_count(n, holdout_fraction)
     order = rng.permutation(n)
     train_idx, hold_idx = order[n_holdout:], order[:n_holdout]
 
-    model = ModelState.initialize(
-        n_classes,
-        features.shape[1],
-        rng,
-        learning_rate=adapt_learning_rate,
-        momentum=adapt_momentum,
-    )
+    model = ModelState.initialize(n_classes, features.shape[1], rng)
     x_train, y_train = features[train_idx], labels[train_idx]
     label_at = (np.arange(len(y_train)), y_train)
     for epoch in range(epochs):
@@ -274,13 +261,10 @@ def pretrain_source(
         if not np.isfinite(-np.mean(np.log(p[label_at] + EPS))):
             raise DivergenceError(f"pretraining loss non-finite at epoch {epoch}", step=epoch)
         p[label_at] -= 1.0
-        p /= len(y_train)
-        grad = np.concatenate([(p.T @ x_train).ravel(), p.sum(axis=0)])
-        model.theta = model.theta - learning_rate * grad
+        model.theta = model.theta - learning_rate * _theta_grad(p, x_train)
 
     model.theta_source = _frozen_copy(model.theta)
-    model.theta_prev_snapshot = model.theta.copy()
-    model.velocity = np.zeros_like(model.theta)
+    model.replace_weights(model.theta)
 
     if n_holdout == 0:
         return model, float("nan")

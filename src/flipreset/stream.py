@@ -73,6 +73,8 @@ class Transition:
             raise ValueError(f"transition kind must be abrupt|linear, got {self.kind!r}")
         if self.kind == "linear" and self.ramp_batches < 1:
             raise ValueError("linear transition needs ramp_batches >= 1")
+        if self.kind == "abrupt" and self.ramp_batches:
+            raise ValueError(f"abrupt transition takes no ramp_batches, got {self.ramp_batches}")
 
 
 @dataclass(frozen=True)

@@ -218,3 +218,22 @@ class TestOutputDirOverride:
         assert main(["run", "--config", config_path, "--out", str(target), "--quiet"]) == 0
         assert target.exists()
         assert not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize(
+        ("command", "name"),
+        [("pretrain", "w.npz"), ("run", "log.csv"), ("compare", "table.txt"), ("export", "log.jsonl")],
+    )
+    def test_every_command_reroots_out(self, config_path, tmp_path, monkeypatch, command, name):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("FLIPRESET_OUTDIR", str(tmp_path / "outdir"))
+        assert main([command, "--config", config_path, "--out", f"sub/{name}", "--quiet"]) == 0
+        assert (tmp_path / "outdir" / "sub" / name).exists()
+        assert not (tmp_path / "sub").exists()
+
+    def test_config_output_rerooted(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**SMALL, "output": "from_config.csv"}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("FLIPRESET_OUTDIR", str(tmp_path / "outdir"))
+        assert main(["run", "--config", str(path), "--quiet"]) == 0
+        assert (tmp_path / "outdir" / "from_config.csv").exists()

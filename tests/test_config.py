@@ -37,6 +37,14 @@ MALFORMED = [
     (("policy",), {"kind": "abr", "trigger": {"beta": 1e-6}}, "trigger"),
     (("policy",), {"kind": "reset_sometimes"}, "kind"),
     (("stream", "domains"), [{"kind": "fog", "severity": 1.0}], "fog"),
+    (("stream", "transition"), {"kind": "abrupt", "ramp_batches": 30}, "ramp_batches"),
+    (("learner", "pretrain", "holdout_fraction"), 1.0, "holdout_fraction"),
+    (("learner", "pretrain", "holdout_fraction"), 1.5, "holdout_fraction"),
+    (("learner", "pretrain", "holdout_fraction"), -0.5, "holdout_fraction"),
+    (("learner", "pretrain", "samples_per_class"), 0, "samples_per_class"),
+    (("learner", "pretrain", "epochs"), -1, "epochs"),
+    # 4 classes x 1 sample, of which round(0.9 * 4) = 4 are held out
+    (("learner", "pretrain"), {"samples_per_class": 1, "holdout_fraction": 0.9}, "holdout_fraction"),
 ]
 
 
@@ -51,6 +59,14 @@ def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, path, value
     config.write_text(json.dumps(raw))  # float("nan") is written as JSON NaN
     assert main(["run", "--config", str(config), "--quiet"]) == 1
     assert named in capsys.readouterr().err
+
+
+def test_holdout_must_leave_a_training_sample():
+    # 2 classes x 1 sample: round(0.75 * 2) = 2 held out, round(0.5 * 2) = 1
+    stream = {"n_classes": 2, "n_features": 2}
+    with pytest.raises(ConfigError, match="holdout_fraction"):
+        config_from_dict({"stream": stream, "learner": {"pretrain": {"samples_per_class": 1, "holdout_fraction": 0.75}}})
+    config_from_dict({"stream": stream, "learner": {"pretrain": {"samples_per_class": 1, "holdout_fraction": 0.5}}})
 
 
 def test_json_integer_in_float_field_becomes_float():

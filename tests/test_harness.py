@@ -145,6 +145,14 @@ class TestRunExperiment:
             assert not model.velocity.any()
             assert rows_equal(shared, run_experiment(cfg, 2, policy=policy))
 
+    def test_build_model_carries_adaptation_settings(self):
+        cfg = small_config(learner={"learning_rate": 0.03, "momentum": 0.5})
+        model, _ = build_model(cfg, 2)
+        assert (model.learning_rate, model.momentum) == (0.03, 0.5)
+        assert model.theta.tobytes() == model.theta_source.tobytes()
+        assert model.theta_prev_snapshot.tobytes() == model.theta.tobytes()
+        assert not model.velocity.any()
+
     def test_given_model_restarts_at_source_weights(self):
         cfg = small_config()
         model, _ = build_model(cfg, 2)

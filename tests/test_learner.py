@@ -1,6 +1,8 @@
 """Classifier, adaptation losses and optimizer contracts."""
 
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,13 +50,14 @@ def rel_err(a, b):
 class TestSoftmaxForward:
     def test_zero_weights_give_uniform(self):
         for k in (2, 3, 7):
-            p = softmax_forward(np.zeros(k * 4), np.zeros(3))
+            p = softmax_forward(np.zeros(k * 4), np.zeros((2, 3)))
+            assert p.shape == (2, k)
             assert np.allclose(p, 1.0 / k, atol=1e-15)
 
     def test_saturated_logits(self):
         # logits [10, -10] via bias-only weights
         theta = np.array([0.0, 0.0, 10.0, -10.0])  # d=1, K=2
-        p = softmax_forward(theta, np.array([0.0]))
+        (p,) = softmax_forward(theta, np.array([[0.0]]))
         assert p[0] == pytest.approx(1.0, abs=1e-8)
         assert p[1] == pytest.approx(np.exp(-20) / (1 + np.exp(-20)), rel=1e-9)
         assert abs(p.sum() - 1.0) < 1e-12
@@ -72,19 +75,21 @@ class TestSoftmaxForward:
     def test_normalization_invariant(self, rng):
         for _ in range(200):
             theta, batch, _, _ = random_instance(rng)
-            p = np.atleast_2d(softmax_forward(theta, batch))
+            p = softmax_forward(theta, batch)
             assert np.all(np.abs(p.sum(axis=1) - 1.0) < 1e-9)
-
-    def test_single_vector_shape(self, rng):
-        theta, batch, k, _ = random_instance(rng)
-        p = softmax_forward(theta, batch[0])
-        assert p.shape == (k,)
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            softmax_forward(np.zeros(4), np.array([np.nan]))
+            softmax_forward(np.zeros(4), np.array([[np.nan]]))
         with pytest.raises(ValueError, match="non-finite"):
-            softmax_forward(np.array([np.inf, 0.0, 0.0, 0.0]), np.array([1.0]))
+            softmax_forward(np.array([np.inf, 0.0, 0.0, 0.0]), np.array([[1.0]]))
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 3, 4)])
+    @pytest.mark.parametrize("function", [softmax_forward, predict, entropy_grad])
+    def test_batch_that_is_not_2d_rejected(self, function, shape):
+        theta = np.zeros(3 * (4 + 1))
+        with pytest.raises(ValueError, match=rf"2-D.*{re.escape(str(shape))}"):
+            function(theta, np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_batch_rejected(self, rng, bad):
@@ -133,7 +138,7 @@ class TestPredict:
 
     def test_matches_scan_oracle(self, rng):
         theta, batch, _, _ = random_instance(rng, max_batch=20)
-        p = np.atleast_2d(softmax_forward(theta, batch))
+        p = softmax_forward(theta, batch)
         pred = predict(theta, batch)
         for i, row in enumerate(p):
             best = 0
@@ -357,3 +362,38 @@ class TestAdaptBatch:
         model.replace_weights(model.theta_source)
         assert not model.velocity.any()
         assert model.theta_prev_snapshot.tobytes() == model.theta.tobytes()
+
+
+def assert_fresh_start(model):
+    """A model as replace_weights leaves it: snapshot equal to theta, zero
+    velocity, and a writable theta of its own."""
+    assert model.theta_prev_snapshot.tobytes() == model.theta.tobytes()
+    assert model.velocity.shape == model.theta.shape and not model.velocity.any()
+    assert model.theta.flags.writeable
+    assert not np.shares_memory(model.theta, model.theta_source)
+    assert not np.shares_memory(model.theta, model.theta_prev_snapshot)
+
+
+class TestModelStateStart:
+    def test_initialize_starts_fresh(self, rng):
+        model = ModelState.initialize(3, 4, rng)
+        assert_fresh_start(model)
+        assert model.theta.tobytes() == model.theta_source.tobytes()
+
+    def test_replace_restarts_at_given_weights(self, rng):
+        model = ModelState.initialize(3, 4, rng)
+        for _ in range(3):
+            adapt_batch(model, rng.normal(0, 1, (8, 4)), EntropyMin())
+        assert model.velocity.any()
+        copy = replace(model, theta=model.theta_source)
+        assert_fresh_start(copy)
+        assert copy.theta.tobytes() == model.theta_source.tobytes()
+        assert copy.theta_source is model.theta_source
+        assert model.velocity.any()  # the original keeps its state
+
+    def test_snapshot_and_velocity_are_not_arguments(self, rng):
+        theta = rng.normal(0, 1, 3 * 5)
+        with pytest.raises(TypeError):
+            ModelState(3, 4, theta, theta.copy(), theta_prev_snapshot=theta.copy())
+        with pytest.raises(TypeError):
+            ModelState(3, 4, theta, theta.copy(), velocity=np.zeros_like(theta))
