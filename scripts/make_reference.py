@@ -3,7 +3,7 @@
 
 Runs the committed experiment configs end to end and records the per-seed
 outcomes that the acceptance thresholds were pinned from, plus the SHA-256
-of the JSON-lines export of the runs in GOLDEN_RUNS, which
+of the JSON-lines and CSV exports of the runs in GOLDEN_RUNS, which
 tests/test_golden.py requires to stay bitwise identical. Rerun after any
 change that intentionally moves the dynamics, then re-check the margins in
 tests/test_acceptance.py against the fresh numbers.
@@ -23,8 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 from flipreset.config import load_config
 from flipreset.harness import export_log, run_experiment
 
-# (config, policy, seed) whose exported log is pinned bit for bit; JSON-lines
-# because it writes floats exactly, where CSV rounds them to 9 digits
+# (config, policy, seed) whose exported logs are pinned bit for bit: the
+# JSON-lines export writes floats exactly, the CSV export pins its own
+# 9-digit formatting
 GOLDEN_RUNS = {
     "quick": ("configs/quick.json", "abr", 0),
     "collapse": ("configs/collapse.json", "abr", 0),
@@ -32,6 +33,7 @@ GOLDEN_RUNS = {
     "rpl_hard_reset": ("configs/rpl_ramp.json", "hard_reset", 0),
     "rpl_fixed_interval": ("configs/rpl_ramp.json", "fixed_interval", 0),
 }
+GOLDEN_FORMATS = ("jsonl", "csv")
 
 
 def frozen_variant(config):
@@ -53,10 +55,12 @@ def golden_logs() -> dict:
         for name, (config_path, policy, seed) in GOLDEN_RUNS.items():
             config = load_config(ROOT / config_path)
             log = run_experiment(config, seed, policy=config.policies[policy], policy_name=policy)
-            path = export_log(log, Path(tmp) / f"{name}.jsonl")
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            out[name] = {"config": config_path, "policy": policy, "seed": seed, "jsonl_sha256": digest}
-            print(f"golden {name}: {policy} seed {seed}, {len(log.rows)} rows, sha256 {digest}")
+            out[name] = {"config": config_path, "policy": policy, "seed": seed}
+            for fmt in GOLDEN_FORMATS:
+                path = export_log(log, Path(tmp) / f"{name}.{fmt}")
+                out[name][f"{fmt}_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"golden {name}: {policy} seed {seed}, {len(log.rows)} rows, "
+                  f"sha256 jsonl {out[name]['jsonl_sha256']} csv {out[name]['csv_sha256']}")
     return out
 
 

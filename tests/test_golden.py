@@ -1,9 +1,9 @@
 """Golden logs: committed runs must reproduce their exported logs bit for bit.
 
 The digests in tests/data/golden_logs.json are SHA-256 hashes of the
-JSON-lines export (exact floats, unlike the 9-digit CSV). Regenerate them
-with scripts/make_reference.py only for a change that is meant to move the
-dynamics, and say so in CHANGES.md.
+JSON-lines export (exact floats) and of the CSV export (9-digit floats).
+Regenerate them with scripts/make_reference.py only for a change that is
+meant to move the dynamics or a file format, and say so in CHANGES.md.
 """
 
 import hashlib
@@ -25,5 +25,6 @@ def test_exported_log_is_bitwise_identical(name, tmp_path):
     config = load_config(CONFIG_DIR.parent / entry["config"])
     policy = entry["policy"]
     log = run_experiment(config, entry["seed"], policy=config.policies[policy], policy_name=policy)
-    path = export_log(log, tmp_path / f"{name}.jsonl")
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["jsonl_sha256"]
+    for fmt in ("jsonl", "csv"):
+        path = export_log(log, tmp_path / f"{name}.{fmt}")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == entry[f"{fmt}_sha256"], fmt
