@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,12 @@ _row_values = attrgetter(*_COLUMNS)
 _CSV_FORMATS = {"int": "%d", "float": "%.9g", "float | None": "%s"}
 _CSV_ROW = ",".join(_CSV_FORMATS[f.type] for f in fields(LogRow)) + "\n"
 _NULLABLE = tuple(i for i, f in enumerate(fields(LogRow)) if f.type.endswith(" | None"))
+# a JSON-lines row is the text json.dumps gives a LogRow's dict, from one
+# template; the float fields are put in as json writes them: None as null,
+# and float.__repr__ also for numpy floats, whose repr reads np.float64(...)
+_JSON_ROW = "{" + ", ".join(f'"{c}": %s' for c in _COLUMNS.values()) + "}\n"
+_FLOATS = tuple(i for i, f in enumerate(fields(LogRow)) if f.type.startswith("float"))
+_json_values = itemgetter(*_COLUMNS.values())
 
 
 @dataclass
@@ -288,23 +294,32 @@ def export_log(log: ExperimentLog, path: str | Path, fmt: str | None = None) -> 
         else:
             meta = {"policy": log.policy_name, "seed": log.seed, "aborted_at": log.aborted_at}
             fh.write(json.dumps(meta) + "\n")
-            encode = json.JSONEncoder(check_circular=False).encode  # json.dumps's output; rows hold no cycles
             for r in log.rows:
-                fh.write(encode(dict(zip(_COLUMNS.values(), _row_values(r)))) + "\n")
+                values = list(_row_values(r))
+                for i in _FLOATS:
+                    v = values[i]
+                    values[i] = (
+                        "null" if v is None else float.__repr__(v) if isinstance(v, float) else json.dumps(v)
+                    )
+                line = _JSON_ROW % tuple(values)
+                # only a non-finite float spells nan or inf: no column name does
+                if "nan" in line or "inf" in line:
+                    raise ValueError(f"non-finite value in the log row at t={r.t}")
+                fh.write(line)
     return path
 
 
 def import_log_jsonl(path: str | Path) -> ExperimentLog:
     """Inverse of the JSON-lines export; field-for-field round trip."""
     with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line]
-    if not lines:
-        raise ValueError(f"{path}: empty log file")
-    meta = json.loads(lines[0])
-    log = ExperimentLog(
-        policy_name=meta["policy"], seed=int(meta["seed"]), aborted_at=meta["aborted_at"]
-    )
-    for line in lines[1:]:
-        d = json.loads(line)
-        log.rows.append(LogRow(*map(d.__getitem__, _COLUMNS.values())))
+        lines = (line for line in fh if line != "\n")  # newlines read as "\n", blank lines skipped
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty log file")
+        meta = json.loads(first)
+        log = ExperimentLog(
+            policy_name=meta["policy"], seed=int(meta["seed"]), aborted_at=meta["aborted_at"]
+        )
+        decode = json.JSONDecoder().decode  # what json.loads calls for a str
+        log.rows.extend(LogRow(*_json_values(decode(line))) for line in lines)
     return log

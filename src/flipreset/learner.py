@@ -105,17 +105,25 @@ def softmax_forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         if not z.size or not np.isfinite(z).all():
             if not (np.isfinite(batch).all() and np.isfinite(theta).all()):
                 raise ValueError("non-finite inputs to softmax_forward")
-        z -= z.max(axis=1, keepdims=True)
+        # the row max over the short class axis, taken column by column:
+        # max is order-free, so this equals z.max(axis=1) bit for bit
+        z -= np.ascontiguousarray(z.T).max(axis=0)[:, None]
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
     return p
+
+
+def _flat_index(columns: np.ndarray, n_columns: int) -> np.ndarray:
+    """Positions of entry ``columns[i]`` of each row ``i`` in the ``ravel()``
+    of a C-contiguous array with ``n_columns`` columns."""
+    return np.arange(0, len(columns) * n_columns, n_columns) + columns
 
 
 def predict(theta: np.ndarray, batch: np.ndarray) -> Prediction:
     """Argmax class per sample, ties broken toward the lowest class index."""
     p = softmax_forward(theta, batch)
     classes = p.argmax(axis=1)
-    return Prediction(classes=classes, confidence=p[np.arange(len(classes)), classes])
+    return Prediction(classes=classes, confidence=p.ravel().take(_flat_index(classes, p.shape[1])))
 
 
 def entropy_loss(theta: np.ndarray, batch: np.ndarray) -> float:
@@ -162,11 +170,10 @@ def rpl_grad(theta: np.ndarray, batch: np.ndarray, q: float = 0.8) -> np.ndarray
         raise ValueError(f"q must lie in (0, 1], got {q}")
     batch = _as_batch(batch)
     p = softmax_forward(theta, batch)
-    idx = np.arange(batch.shape[0])
-    pseudo = p.argmax(axis=1)
-    coef = p[idx, pseudo] ** q
+    at_pseudo = _flat_index(p.argmax(axis=1), p.shape[1])
+    coef = p.ravel().take(at_pseudo) ** q
     gz = p * coef[:, None]
-    gz[idx, pseudo] -= coef
+    gz.ravel()[at_pseudo] -= coef  # gz is fresh and C-contiguous, so ravel() is a view
     return _theta_grad(gz, batch)
 
 
@@ -242,25 +249,40 @@ def pretrain_source(
     """Supervised full-batch cross-entropy training on labeled source data.
 
     The trained weights are copied into the frozen source snapshot. Returns
-    the model and its holdout accuracy.
+    the model and its holdout accuracy. Raises ``ValueError`` naming the
+    argument for a negative ``epochs``, a ``holdout_fraction`` outside
+    [0, 1) or one that leaves no training sample, ``labels`` that are not
+    one per row of ``features``, and labels that are not integers in
+    [0, ``n_classes``).
     """
     features = _as_batch(features)
     labels = np.asarray(labels)
-    n = len(labels)
+    n = len(features)
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not 0.0 <= holdout_fraction < 1.0:
+        raise ValueError(f"holdout_fraction must lie in [0, 1), got {holdout_fraction}")
     n_holdout = holdout_count(n, holdout_fraction)
+    if n_holdout >= n:
+        raise ValueError(f"holdout_fraction {holdout_fraction} leaves none of {n} samples to train on")
+    if labels.shape != (n,):
+        raise ValueError(f"labels must hold one label per row of features ({n}), got shape {labels.shape}")
+    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"labels must be integers in [0, n_classes={n_classes})")
     order = rng.permutation(n)
     train_idx, hold_idx = order[n_holdout:], order[:n_holdout]
 
     model = ModelState.initialize(n_classes, features.shape[1], rng)
     x_train, y_train = features[train_idx], labels[train_idx]
-    label_at = (np.arange(len(y_train)), y_train)
+    at_label = _flat_index(y_train, n_classes)
     for epoch in range(epochs):
         # one softmax pass serves the loss check and, edited in place into
         # dloss/dlogits, the cross-entropy gradient
         p = softmax_forward(model.theta, x_train)
-        if not np.isfinite(-np.mean(np.log(p[label_at] + EPS))):
+        p_flat = p.ravel()  # a view: p is fresh and C-contiguous
+        if not np.isfinite(-np.mean(np.log(p_flat.take(at_label) + EPS))):
             raise DivergenceError(f"pretraining loss non-finite at epoch {epoch}", step=epoch)
-        p[label_at] -= 1.0
+        p_flat[at_label] -= 1.0
         model.theta = model.theta - learning_rate * _theta_grad(p, x_train)
 
     model.theta_source = _frozen_copy(model.theta)

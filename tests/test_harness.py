@@ -228,6 +228,40 @@ class TestExport:
         meta = json.loads(path.read_text().splitlines()[0])
         assert meta == {"policy": "abr", "seed": 7, "aborted_at": 3}
 
+    def test_jsonl_rows_are_json_dumps_text(self, tmp_path):
+        # numpy floats, an int in a float column, None and extreme floats
+        # are written exactly as json.dumps writes the row's dict
+        row = LogRow(
+            t=3, domain=1, accuracy=np.float64(0.1), lf_raw=1e-300, lf_ema=-0.0, lf_min=1e16,
+            slope=None, threshold=np.float64(2.5e-7), reset=1, lam=1,
+        )
+        path = export_log(ExperimentLog("x", 0, rows=[row]), tmp_path / "log.jsonl")
+        expected = json.dumps(dict(zip(CSV_HEADER.split(","), dataclasses.astuple(row))))
+        assert path.read_text().splitlines()[1] == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["lf_raw", "lam"])
+    def test_jsonl_non_finite_float_names_its_row(self, tmp_path, column, bad):
+        log = make_log([0.5, 0.25, 1.0], resets={2})
+        log.rows[1] = dataclasses.replace(log.rows[1], **{column: bad})
+        with pytest.raises(ValueError, match="non-finite value in the log row at t=2"):
+            export_log(log, tmp_path / "log.jsonl")
+
+    def test_jsonl_import_skips_blank_lines(self, tmp_path):
+        log = make_log([0.5, 0.25], resets={2})
+        path = export_log(log, tmp_path / "log.jsonl")
+        lines = path.read_text().splitlines()
+        path.write_text("\n" + "\r\n\n".join(lines) + "\n\n", newline="")
+        back = import_log_jsonl(path)
+        assert back.policy_name == "x" and rows_equal(back, log)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_jsonl_import_of_empty_file_rejected(self, tmp_path, text):
+        path = tmp_path / "log.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="empty log file"):
+            import_log_jsonl(path)
+
     def test_format_inference_and_validation(self, tmp_path):
         log = ExperimentLog("x", 0)
         with pytest.raises(ValueError, match="infer"):

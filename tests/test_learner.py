@@ -47,6 +47,47 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-10)
 
 
+def exact_logits(logits):
+    """(theta, batch) whose logits ``batch @ W.T + b`` are ``logits``, up to
+    the sign of a zero: identity weights and a -0.0 bias."""
+    k = logits.shape[1]
+    return np.concatenate([np.eye(k).ravel(), np.full(k, -0.0)]), logits
+
+
+def pinned_cases(k, rng):
+    """(theta, batch) pairs with K = ``k`` classes and N in {1, 64, 1600}:
+    random weights, then logits set exactly to random values, rows with a
+    tied maximum, all-equal rows, +-0.0 and +-700."""
+    for n in (1, 64, 1600):
+        d = int(rng.integers(1, 17))
+        yield rng.normal(0, 1, k * (d + 1)), rng.normal(0, 2, (n, d))
+        logits = rng.normal(0, 3, (n, k))
+        yield exact_logits(logits.copy())
+        tied = logits.copy()
+        tied[:, -1] = tied.max(axis=1)
+        yield exact_logits(tied)
+        yield exact_logits(np.repeat(rng.normal(0, 3, (n, 1)), k, axis=1))
+        yield exact_logits(rng.choice([0.0, -0.0], (n, k)))
+        yield exact_logits(rng.choice([700.0, -700.0], (n, k)))
+
+
+def reference_softmax(theta, batch, row_sum=lambda p: p.sum(axis=1, keepdims=True)):
+    """softmax_forward's arithmetic with numpy's own row max."""
+    d = batch.shape[1]
+    k = theta.size // (d + 1)
+    z = batch @ theta[: k * d].reshape(k, d).T + theta[k * d :]
+    z = z - z.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    return p / row_sum(p)
+
+
+def sequential_row_sum(p):
+    total = p[:, :1].copy()
+    for j in range(1, p.shape[1]):
+        total += p[:, j : j + 1]
+    return total
+
+
 class TestSoftmaxForward:
     def test_zero_weights_give_uniform(self):
         for k in (2, 3, 7):
@@ -201,6 +242,47 @@ class TestRplGrad:
             RobustPseudoLabel(q=1.5)
 
 
+class TestBitwisePins:
+    """The learner's class-axis max and flat gathers against the plain
+    numpy forms they replace, bit for bit."""
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_softmax_forward_matches_row_max_reference(self, k):
+        for theta, batch in pinned_cases(k, np.random.default_rng(k)):
+            assert softmax_forward(theta, batch).tobytes() == reference_softmax(theta, batch).tobytes()
+
+    @pytest.mark.parametrize("k", range(8, 13))
+    def test_sequential_row_sum_fails_the_pins_from_eight_classes(self, k):
+        # why the row sum stays numpy's: from K = 8 on it no longer adds the
+        # columns in order, so summing them column by column changes bits
+        assert any(
+            softmax_forward(theta, batch).tobytes()
+            != reference_softmax(theta, batch, row_sum=sequential_row_sum).tobytes()
+            for theta, batch in pinned_cases(k, np.random.default_rng(k))
+        )
+
+    @pytest.mark.parametrize("k", [2, 4, 7, 12])
+    def test_predict_confidence_is_the_fancy_gather(self, k):
+        for theta, batch in pinned_cases(k, np.random.default_rng(k)):
+            p = softmax_forward(theta, batch)
+            pred = predict(theta, batch)
+            assert pred.classes.tobytes() == p.argmax(axis=1).tobytes()
+            assert pred.confidence.tobytes() == p[np.arange(len(p)), pred.classes].tobytes()
+
+    @pytest.mark.parametrize("q", [0.3, 0.8, 1.0])
+    @pytest.mark.parametrize("k", [2, 4, 7, 12])
+    def test_rpl_grad_matches_fancy_index_reference(self, k, q):
+        for theta, batch in pinned_cases(k, np.random.default_rng(k)):
+            p = softmax_forward(theta, batch)
+            idx, pseudo = np.arange(len(p)), p.argmax(axis=1)
+            coef = p[idx, pseudo] ** q
+            gz = p * coef[:, None]
+            gz[idx, pseudo] -= coef
+            gz /= len(p)
+            expected = np.concatenate([(gz.T @ batch).ravel(), gz.sum(axis=0)])
+            assert rpl_grad(theta, batch, q=q).tobytes() == expected.tobytes()
+
+
 class TestSgdStep:
     def test_plain_sgd(self, rng):
         model = ModelState.initialize(2, 3, rng, learning_rate=0.1, momentum=0.0)
@@ -295,6 +377,39 @@ class TestPretrainSource:
             theta = theta - 0.5 * np.concatenate([(gz.T @ x).ravel(), gz.sum(axis=0)])
         assert model.theta.tobytes() == theta.tobytes()
         assert model.theta_source.tobytes() == theta.tobytes()
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"epochs": -1}, "epochs must be >= 0"),
+            ({"holdout_fraction": 1.0}, r"holdout_fraction must lie in \[0, 1\)"),
+            ({"holdout_fraction": -0.5}, r"holdout_fraction must lie in \[0, 1\)"),
+        ],
+    )
+    def test_out_of_range_arguments_rejected(self, rng, change, match):
+        features, labels = two_gaussians(rng)
+        kwargs = {"epochs": 3, "learning_rate": 0.5, "rng": rng, **change}
+        with pytest.raises(ValueError, match=match):
+            pretrain_source(features, labels, n_classes=2, **kwargs)
+
+    def test_holdout_that_leaves_no_training_sample_rejected(self, rng):
+        features, labels = two_gaussians(rng, n=2)
+        with pytest.raises(ValueError, match="holdout_fraction 0.9 leaves none of 2"):
+            pretrain_source(features, labels, n_classes=2, epochs=3, learning_rate=0.5, rng=rng, holdout_fraction=0.9)
+
+    def test_labels_not_one_per_row_rejected(self, rng):
+        features, labels = two_gaussians(rng)
+        with pytest.raises(ValueError, match=r"labels must hold one label per row of features \(400\)"):
+            pretrain_source(features, labels[:-1], n_classes=2, epochs=3, learning_rate=0.5, rng=rng)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_labels_outside_the_classes_rejected(self, rng, bad):
+        # a flat gather would read a neighbouring entry for these
+        features, labels = two_gaussians(rng)
+        labels = labels.astype(type(bad))
+        labels[7] = bad
+        with pytest.raises(ValueError, match=r"labels must be integers in \[0, n_classes=2\)"):
+            pretrain_source(features, labels, n_classes=2, epochs=3, learning_rate=0.5, rng=rng)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_raises(self, rng):
