@@ -269,6 +269,7 @@ def pretrain_source(
         raise ValueError(f"labels must hold one label per row of features ({n}), got shape {labels.shape}")
     if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels must be integers in [0, n_classes={n_classes})")
+    labels = labels.astype(np.intp, copy=False)  # uint64 + an intp offset would promote to float
     order = rng.permutation(n)
     train_idx, hold_idx = order[n_holdout:], order[:n_holdout]
 

@@ -411,6 +411,16 @@ class TestPretrainSource:
         with pytest.raises(ValueError, match=r"labels must be integers in \[0, n_classes=2\)"):
             pretrain_source(features, labels, n_classes=2, epochs=3, learning_rate=0.5, rng=rng)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+    def test_any_integer_label_dtype_trains_alike(self, dtype):
+        features, labels = two_gaussians(np.random.default_rng(3))
+        runs = [
+            pretrain_source(features, y, n_classes=2, epochs=5, learning_rate=0.5, rng=np.random.default_rng(4))
+            for y in (labels, labels.astype(dtype))
+        ]
+        assert runs[0][0].theta.tobytes() == runs[1][0].theta.tobytes()
+        assert runs[0][1] == runs[1][1]
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_raises(self, rng):
         features, labels = two_gaussians(rng)
