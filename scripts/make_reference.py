@@ -41,14 +41,6 @@ def frozen_variant(config):
     return dataclasses.replace(config, learner=learner)
 
 
-def stats(log):
-    return {
-        "mean_accuracy": log.mean_accuracy(),
-        "final_accuracy": log.final_window_accuracy(),
-        "reset_count": log.reset_count(),
-    }
-
-
 def golden_logs() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -82,9 +74,9 @@ def main() -> int:
         no_reset = run_experiment(collapse, seed, policy=collapse.policies["no_reset"], policy_name="no_reset")
         abr = run_experiment(collapse, seed, policy=collapse.policies["abr"], policy_name="abr")
         out["collapse"][str(seed)] = {
-            "frozen": stats(frozen),
-            "no_reset": stats(no_reset),
-            "abr": stats(abr),
+            "frozen": frozen.summary(),
+            "no_reset": no_reset.summary(),
+            "abr": abr.summary(),
         }
         print(f"collapse seed {seed}: frozen={frozen.final_window_accuracy():.4f} "
               f"no_reset={no_reset.final_window_accuracy():.4f} abr={abr.final_window_accuracy():.4f} "
@@ -93,7 +85,7 @@ def main() -> int:
     for seed in bad.seeds:
         no_reset = run_experiment(bad, seed, policy=bad.policies["no_reset"], policy_name="no_reset")
         timing = run_experiment(bad, seed, policy=bad.policies["bad_timing"], policy_name="bad_timing")
-        out["bad_timing"][str(seed)] = {"no_reset": stats(no_reset), "bad_timing": stats(timing)}
+        out["bad_timing"][str(seed)] = {"no_reset": no_reset.summary(), "bad_timing": timing.summary()}
         print(f"bad_timing seed {seed}: no_reset={no_reset.mean_accuracy():.4f} "
               f"bad_timing={timing.mean_accuracy():.4f} (mean)")
 

@@ -1,4 +1,4 @@
-"""Command-line interface: pretrain, run, compare, export.
+"""Command-line interface: pretrain, run, compare.
 
 Every subcommand is a pure function of the config file and flags; output is
 deterministic for a fixed (config, seed). The only environment dependence is
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .harness import build_model, compare_policies, export_log, run_experiment
+from .harness import LOG_FORMATS, build_model, compare_policies, export_log, run_experiment
 from .learner import DivergenceError
 
 __all__ = ["main", "entrypoint"]
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("pretrain", "train the source classifier and report holdout accuracy")
-    add("run", "run one experiment; write the per-step log")
+    add("run", "run one experiment; write the per-step log (CSV or JSON-lines, by --out's suffix)")
     p_compare = add("compare", "run every configured policy across seeds; print a summary table")
     p_compare.add_argument(
         "--policy",
@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict to named policies (repeat or comma-separate)",
     )
-    add("export", "run one experiment and export its trajectory (CSV or JSON-lines)")
     return parser
 
 
@@ -84,28 +83,24 @@ def _cmd_pretrain(config: ExperimentConfig, args) -> int:
     return 0
 
 
-def _run_and_write(config: ExperimentConfig, seed: int, out: str | None, fmt_hint: str | None):
+def _cmd_run(config: ExperimentConfig, args) -> int:
+    out = args.out
+    if out and Path(out).suffix.lower() not in LOG_FORMATS:
+        raise ConfigError(f"--out must end in {' or '.join(LOG_FORMATS)}, got {out!r}")
+    seed = config.seeds[0]
     try:
         log = run_experiment(config, seed)
     except DivergenceError as exc:
         if out and exc.log is not None:
-            export_log(exc.log, out, fmt=fmt_hint)
+            export_log(exc.log, out)
         raise
     if out:
-        export_log(log, out, fmt=fmt_hint)
-    return log
-
-
-def _cmd_run(config: ExperimentConfig, args) -> int:
-    seed = config.seeds[0]
-    out = args.out or _resolve_out(config.output)
-    fmt = None if out is None or Path(out).suffix.lower() in (".csv", ".jsonl") else "csv"
-    log = _run_and_write(config, seed, out, fmt)
+        export_log(log, out)
     if not args.quiet:
         print(
             f"policy={log.policy_name} seed={seed} steps={len(log.rows)} "
-            f"mean_acc={log.mean_accuracy():.4f} final_acc={log.final_window_accuracy():.4f} "
-            f"resets={log.reset_count()}"
+            "mean_acc={mean_accuracy:.4f} final_acc={final_accuracy:.4f} "
+            "resets={reset_count}".format(**log.summary())
         )
         if out:
             print(f"log written to {out}")
@@ -135,23 +130,10 @@ def _cmd_compare(config: ExperimentConfig, args) -> int:
     return 0
 
 
-def _cmd_export(config: ExperimentConfig, args) -> int:
-    if not args.out:
-        raise ConfigError("export requires --out with a .csv or .jsonl suffix")
-    if Path(args.out).suffix.lower() not in (".csv", ".jsonl"):
-        raise ConfigError(f"export target must end in .csv or .jsonl, got {args.out!r}")
-    seed = config.seeds[0]
-    _run_and_write(config, seed, args.out, None)
-    if not args.quiet:
-        print(f"trajectory written to {args.out}")
-    return 0
-
-
 _COMMANDS = {
     "pretrain": _cmd_pretrain,
     "run": _cmd_run,
     "compare": _cmd_compare,
-    "export": _cmd_export,
 }
 
 

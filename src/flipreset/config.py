@@ -109,7 +109,6 @@ class ExperimentConfig:
     batch_size: int = 64
     seeds: tuple[int, ...] = (0,)
     normalize_flip: bool = True
-    output: str | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -118,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         pre = self.learner.pretrain
         n = pre.samples_per_class * self.stream.n_classes
         if holdout_count(n, pre.holdout_fraction) >= n:
@@ -219,8 +220,8 @@ def _parse_severity_ranges(value) -> dict:
     for key, pair in _object(value, "stream.severity_ranges").items():
         where = f"stream.severity_ranges.{key}"
         ranges[CorruptionKind(key)] = _typed(pair, "tuple[float, ...]", where)
-        if len(pair) != 2:
-            raise ConfigError(f"{where} must be a [low, high] pair, got {pair!r}")
+        if len(pair) != 2 or pair[0] > pair[1]:
+            raise ConfigError(f"{where} must be a [low, high] pair with low <= high, got {pair!r}")
     return ranges
 
 

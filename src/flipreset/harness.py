@@ -25,6 +25,7 @@ _LEARNER_CHANNEL = 2
 
 __all__ = [
     "CSV_HEADER",
+    "LOG_FORMATS",
     "LogRow",
     "ExperimentLog",
     "ComparisonSummary",
@@ -54,6 +55,8 @@ class LogRow:
 # LogRow field -> its column name in both file formats, in file order
 _COLUMNS = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(LogRow)}
 CSV_HEADER = ",".join(_COLUMNS.values())
+# the log file formats, named by the path suffix that selects each
+LOG_FORMATS = (".csv", ".jsonl")
 _row_values = attrgetter(*_COLUMNS)
 # a CSV row is formatted by one template built from the field types, with
 # the nullable fields passed through _opt first
@@ -89,6 +92,14 @@ class ExperimentLog:
 
     def reset_steps(self) -> list[int]:
         return [r.t for r in self.rows if r.reset]
+
+    def summary(self) -> dict:
+        """The per-run record that comparisons and the reference data keep."""
+        return {
+            "mean_accuracy": self.mean_accuracy(),
+            "final_accuracy": self.final_window_accuracy(),
+            "reset_count": self.reset_count(),
+        }
 
 
 def build_schedule(config: ExperimentConfig, seed: int) -> DomainSchedule:
@@ -234,9 +245,7 @@ class ComparisonSummary:
 
 
 def compare_policies(
-    config: ExperimentConfig,
-    policies: dict[str, ResetPolicy] | None = None,
-    seeds: tuple[int, ...] | None = None,
+    config: ExperimentConfig, policies: dict[str, ResetPolicy] | None = None
 ) -> ComparisonSummary:
     """Run every (policy, seed) cell on bit-identical per-seed streams.
 
@@ -247,10 +256,9 @@ def compare_policies(
     policies = config.policies if policies is None else policies
     if policies is None or len(policies) < 2:
         raise ValueError("compare_policies needs at least two policies")
-    seeds = config.seeds if seeds is None else tuple(seeds)
 
     cells: dict[str, dict[int, dict]] = {name: {} for name in policies}
-    for seed in seeds:
+    for seed in config.seeds:
         model = None  # pretrained in the seed's first cell, shared by the rest
         for name, policy in policies.items():
             try:
@@ -260,31 +268,25 @@ def compare_policies(
             except DivergenceError as exc:
                 cells[name][seed] = {"failed": True, "aborted_at": exc.step}
                 continue
-            cells[name][seed] = {
-                "mean_accuracy": log.mean_accuracy(),
-                "final_accuracy": log.final_window_accuracy(),
-                "reset_count": log.reset_count(),
-            }
-    return ComparisonSummary(seeds=seeds, cells=cells)
+            cells[name][seed] = log.summary()
+    return ComparisonSummary(seeds=config.seeds, cells=cells)
 
 
 def _opt(x: float | None) -> str:
     return "" if x is None else _CSV_FORMATS["float"] % x
 
 
-def export_log(log: ExperimentLog, path: str | Path, fmt: str | None = None) -> Path:
-    """Write a log as CSV or JSON-lines; format inferred from the suffix."""
+def export_log(log: ExperimentLog, path: str | Path) -> Path:
+    """Write a log in the format that the path's suffix names, one of
+    :data:`LOG_FORMATS`."""
     path = Path(path)
-    if fmt is None:
-        fmt = {".csv": "csv", ".jsonl": "jsonl"}.get(path.suffix.lower())
-        if fmt is None:
-            raise ValueError(f"cannot infer log format from {path.name!r}; pass fmt=csv|jsonl")
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"format must be csv|jsonl, got {fmt!r}")
+    fmt = path.suffix.lower()
+    if fmt not in LOG_FORMATS:
+        raise ValueError(f"log path must end in {' or '.join(LOG_FORMATS)}, got {path.name!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fmt == "csv":
+        if fmt == ".csv":
             fh.write(CSV_HEADER + "\n")
             for r in log.rows:
                 values = list(_row_values(r))

@@ -100,6 +100,8 @@ class RandomTiming:
     times: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.times and self.times[0] < 1:
+            raise ValueError(f"times must be step indices >= 1, got {self.times[0]}")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
 

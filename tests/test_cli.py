@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from flipreset import cli
 from flipreset.cli import main
 from flipreset.harness import CSV_HEADER, import_log_jsonl
 
@@ -178,16 +179,20 @@ class TestCompare:
 class TestExportAndPretrain:
     def test_export_jsonl_round_trip(self, config_path, tmp_path, capsys):
         out = tmp_path / "log.jsonl"
-        assert main(["export", "--config", config_path, "--out", str(out)]) == 0
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 0
         log = import_log_jsonl(out)
         assert len(log.rows) == 100
         assert log.seed == 0
 
-    def test_export_requires_out_with_known_suffix(self, config_path, capsys):
-        assert main(["export", "--config", config_path]) == 1
-        capsys.readouterr()
-        assert main(["export", "--config", config_path, "--out", "x.txt"]) == 1
-        capsys.readouterr()
+    def test_export_requires_out_with_known_suffix(self, config_path, tmp_path, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: runs.append(args))
+        out = tmp_path / "x.txt"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 1
+        assert "--out must end in .csv or .jsonl" in capsys.readouterr().err
+        assert runs == [] and not out.exists()
+        assert main(["export", "--config", config_path, "--out", "x.csv"]) == 1
+        assert "export" in capsys.readouterr().err
 
     def test_pretrain_reports_holdout_and_saves(self, config_path, tmp_path, capsys):
         out = tmp_path / "weights.npz"
@@ -221,7 +226,7 @@ class TestOutputDirOverride:
 
     @pytest.mark.parametrize(
         ("command", "name"),
-        [("pretrain", "w.npz"), ("run", "log.csv"), ("compare", "table.txt"), ("export", "log.jsonl")],
+        [("pretrain", "w.npz"), ("run", "log.csv"), ("compare", "table.txt")],
     )
     def test_every_command_reroots_out(self, config_path, tmp_path, monkeypatch, command, name):
         monkeypatch.chdir(tmp_path)
@@ -229,11 +234,3 @@ class TestOutputDirOverride:
         assert main([command, "--config", config_path, "--out", f"sub/{name}", "--quiet"]) == 0
         assert (tmp_path / "outdir" / "sub" / name).exists()
         assert not (tmp_path / "sub").exists()
-
-    def test_config_output_rerooted(self, tmp_path, monkeypatch):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({**SMALL, "output": "from_config.csv"}))
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("FLIPRESET_OUTDIR", str(tmp_path / "outdir"))
-        assert main(["run", "--config", str(path), "--quiet"]) == 0
-        assert (tmp_path / "outdir" / "from_config.csv").exists()

@@ -45,11 +45,21 @@ MALFORMED = [
     (("learner", "pretrain", "epochs"), -1, "epochs"),
     # 4 classes x 1 sample, of which round(0.9 * 4) = 4 are held out
     (("learner", "pretrain"), {"samples_per_class": 1, "holdout_fraction": 0.9}, "holdout_fraction"),
+    # every kind reversed, so whichever kind the schedule draws would fail
+    (
+        ("stream", "severity_ranges"),
+        {kind.value: [2.0, 1.0] for kind in CorruptionKind},
+        "stream.severity_ranges.",
+    ),
+    (("seeds",), [0, 0, 1], "seeds must be distinct"),
+    (("policy",), {"kind": "random_timing", "times": [-5, 0, 3]}, "times"),
+    (("output",), "log.csv", "output"),
 ]
 
 
 @pytest.mark.parametrize(("path", "value", "named"), MALFORMED, ids=[m[2] for m in MALFORMED])
-def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, path, value, named):
+def test_malformed_config_exits_one_naming_the_key(tmp_path, monkeypatch, capsys, path, value, named):
+    monkeypatch.chdir(tmp_path)  # a config wrongly accepted writes nothing into the checkout
     raw = copy.deepcopy(SMALL)
     target = raw
     for key in path[:-1]:
@@ -128,7 +138,6 @@ CONFIGS = obj(
     batch_size=COUNTS,
     seeds=st.lists(COUNTS, max_size=3),
     normalize_flip=st.booleans(),
-    output=st.none() | st.text(max_size=4),
 )
 
 

@@ -283,6 +283,8 @@ class TestPolicyStep:
         with pytest.raises(ValueError):
             RandomTiming(times=(5, 5))
         with pytest.raises(ValueError):
+            RandomTiming(times=(0, 3))
+        with pytest.raises(ValueError):
             BalancedReset(force_lambda=1.5)
 
     def test_decision_diagnostics_populated(self, rng):
