@@ -3,8 +3,9 @@
 
 Runs the committed experiment configs end to end and records the per-seed
 outcomes that the acceptance thresholds were pinned from, plus the SHA-256
-of the JSON-lines and CSV exports of the runs in GOLDEN_RUNS, which
-tests/test_golden.py requires to stay bitwise identical. Rerun after any
+of the pretrained source weights and of the JSON-lines and CSV exports of
+the runs in GOLDEN_RUNS, which tests/test_golden.py requires to stay bitwise
+identical. Rerun after any
 change that intentionally moves the dynamics, then re-check the margins in
 tests/test_acceptance.py against the fresh numbers.
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 from flipreset.config import load_config
-from flipreset.harness import export_log, run_experiment
+from flipreset.harness import build_model, export_log, run_experiment
 
 # (config, policy, seed) whose exported logs are pinned bit for bit: the
 # JSON-lines export writes floats exactly, the CSV export pins its own
@@ -46,8 +47,14 @@ def golden_logs() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for name, (config_path, policy, seed) in GOLDEN_RUNS.items():
             config = load_config(ROOT / config_path)
-            log = run_experiment(config, seed, policy=config.policies[policy], policy_name=policy)
-            out[name] = {"config": config_path, "policy": policy, "seed": seed}
+            model, _ = build_model(config, seed)
+            log = run_experiment(config, seed, policy=config.policies[policy], policy_name=policy, model=model)
+            out[name] = {
+                "config": config_path,
+                "policy": policy,
+                "seed": seed,
+                "theta_source_sha256": hashlib.sha256(model.theta_source.tobytes()).hexdigest(),
+            }
             for fmt in GOLDEN_FORMATS:
                 path = export_log(log, Path(tmp) / f"{name}.{fmt}")
                 out[name][f"{fmt}_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
