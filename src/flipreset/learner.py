@@ -72,11 +72,14 @@ AdaptLoss = EntropyMin | RobustPseudoLabel
 
 
 def _as_batch(x) -> np.ndarray:
-    """``x`` as a 2-D float64 (samples, features) array; any other shape is rejected."""
+    """``x`` as a C-contiguous 2-D float64 (samples, features) array; any
+    other shape is rejected."""
     batch = x if type(x) is np.ndarray and x.dtype == np.float64 else np.asarray(x, dtype=float)
     if batch.ndim != 2:
         raise ValueError(f"a batch must be 2-D (samples, features), got shape {batch.shape}")
-    return batch
+    # another layout reaches BLAS through another kernel, whose sums can
+    # round differently (a Fortran-ordered batch of 16 features does)
+    return batch if batch.flags.c_contiguous else np.ascontiguousarray(batch)
 
 
 def _unpack(theta: np.ndarray, n_features: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,23 +95,42 @@ def _unpack(theta: np.ndarray, n_features: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def softmax_forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Class probabilities, one row per sample of a batch (max-shifted exp)."""
+    """Class probabilities, one row per sample of a batch (max-shifted exp).
+
+    Under 8 classes the work runs class-major, on (K, N) logits whose
+    class-axis reductions add whole rows; from 8 on it keeps numpy's
+    row-wise forms. Either way the result is the C-contiguous (N, K) array
+    of the row-major arithmetic, bit for bit.
+    """
     batch = _as_batch(x)
     theta = np.asarray(theta, dtype=float)
     w, b = _unpack(theta, batch.shape[1])
+    class_major = len(w) < 8
     # logit overflow yields nan probabilities, which downstream finiteness
     # guards report as divergence; no need for numpy to warn as well
     with np.errstate(over="ignore", invalid="ignore"):
-        z = batch @ w.T + b
+        if class_major:
+            # w @ batch.T has the bits of batch @ w.T for few classes only:
+            # with 12, a batch of 257 rows already differs
+            zt = w @ batch.T
+            zt += b[:, None]
+        else:
+            zt = (batch @ w.T + b).T
         # a non-finite input makes every logit it reaches non-finite, so
         # finite logits clear the inputs without scanning them
-        if not z.size or not np.isfinite(z).all():
+        if not zt.size or not np.isfinite(zt).all():
             if not (np.isfinite(batch).all() and np.isfinite(theta).all()):
                 raise ValueError("non-finite inputs to softmax_forward")
-        # the row max over the short class axis, taken column by column:
-        # max is order-free, so this equals z.max(axis=1) bit for bit
-        z -= np.ascontiguousarray(z.T).max(axis=0)[:, None]
-        p = np.exp(z)
+        zt -= zt.max(axis=0)  # max is order-free
+        np.exp(zt, out=zt)
+        if class_major:
+            # numpy's row sum adds fewer than 8 entries in order, as these
+            # row adds do; the quotient goes straight into the (N, K) result
+            p = np.empty(zt.shape[::-1])
+            np.divide(zt, zt.sum(axis=0), out=p.T)
+            return p
+        # from 8 entries on numpy's row sum is pairwise
+        p = zt.T
         p /= p.sum(axis=1, keepdims=True)
     return p
 
@@ -136,7 +158,11 @@ def _theta_grad(gz: np.ndarray, batch: np.ndarray) -> np.ndarray:
     """theta's ``[W.ravel(), b]`` gradient of a batch-mean loss, from its
     per-sample logit gradients ``gz``, which are divided in place."""
     gz /= batch.shape[0]
-    return np.concatenate([(gz.T @ batch).ravel(), gz.sum(axis=0)])
+    # the rows added in order from +0.0, as gz.sum(axis=0) adds them, in less time
+    bias = np.zeros(gz.shape[1])
+    if len(gz):
+        bias += np.add.accumulate(gz, axis=0)[-1]
+    return np.concatenate([(gz.T @ batch).ravel(), bias])
 
 
 def entropy_grad(theta: np.ndarray, batch: np.ndarray) -> np.ndarray:
@@ -276,14 +302,18 @@ def pretrain_source(
     model = ModelState.initialize(n_classes, features.shape[1], rng)
     x_train, y_train = features[train_idx], labels[train_idx]
     at_label = _flat_index(y_train, n_classes)
+    # p - one_hot is p[i, y_i] -= 1.0 bit for bit, as p - 0.0 == p
+    one_hot = np.zeros((len(y_train), n_classes))
+    one_hot.ravel()[at_label] = 1.0
     for epoch in range(epochs):
         # one softmax pass serves the loss check and, edited in place into
         # dloss/dlogits, the cross-entropy gradient
         p = softmax_forward(model.theta, x_train)
-        p_flat = p.ravel()  # a view: p is fresh and C-contiguous
-        if not np.isfinite(-np.mean(np.log(p_flat.take(at_label) + EPS))):
+        # each label probability lies in [0, 1] or is nan, so the loss
+        # -mean(log(p + EPS)) is finite exactly when all of them are
+        if not np.isfinite(p.ravel().take(at_label)).all():
             raise DivergenceError(f"pretraining loss non-finite at epoch {epoch}", step=epoch)
-        p_flat[at_label] -= 1.0
+        p -= one_hot
         model.theta = model.theta - learning_rate * _theta_grad(p, x_train)
 
     model.theta_source = _frozen_copy(model.theta)

@@ -22,6 +22,7 @@ from flipreset.learner import (
     sgd_step,
     softmax_forward,
 )
+from flipreset.learner import _theta_grad
 
 
 def random_instance(rng, max_classes=4, max_features=5, max_batch=8):
@@ -55,10 +56,10 @@ def exact_logits(logits):
 
 
 def pinned_cases(k, rng):
-    """(theta, batch) pairs with K = ``k`` classes and N in {1, 64, 1600}:
+    """(theta, batch) pairs with K = ``k`` classes and N in {1, 64, 257, 1600}:
     random weights, then logits set exactly to random values, rows with a
     tied maximum, all-equal rows, +-0.0 and +-700."""
-    for n in (1, 64, 1600):
+    for n in (1, 64, 257, 1600):
         d = int(rng.integers(1, 17))
         yield rng.normal(0, 1, k * (d + 1)), rng.normal(0, 2, (n, d))
         logits = rng.normal(0, 3, (n, k))
@@ -261,6 +262,25 @@ class TestBitwisePins:
             for theta, batch in pinned_cases(k, np.random.default_rng(k))
         )
 
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_fortran_ordered_batch_gives_the_same_bytes(self, k):
+        rng = np.random.default_rng(k)
+        # 32 features: BLAS's kernel for the other layout rounds differently
+        wide = (rng.normal(0, 1, k * 33), rng.normal(0, 2, (100, 32)))
+        for theta, batch in [*pinned_cases(k, rng), wide]:
+            assert softmax_forward(theta, np.asfortranarray(batch)).tobytes() == softmax_forward(theta, batch).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 64, 1600])
+    def test_theta_grad_bias_is_the_column_sum(self, n):
+        rng = np.random.default_rng(n)
+        gz = rng.normal(0, 1, (n, 4))
+        gz[:, 1] = -0.0  # numpy's sum starts from +0.0, so this column sums to +0.0
+        gz[::3, 2] = 0.0
+        batch = rng.normal(0, 1, (n, 3))
+        expected = gz / n
+        grad = _theta_grad(gz, batch)
+        assert grad[12:].tobytes() == expected.sum(axis=0).tobytes()
+
     @pytest.mark.parametrize("k", [2, 4, 7, 12])
     def test_predict_confidence_is_the_fancy_gather(self, k):
         for theta, batch in pinned_cases(k, np.random.default_rng(k)):
@@ -353,30 +373,31 @@ class TestPretrainSource:
         assert model.theta_source.tobytes() == model.theta.tobytes()
 
     def test_matches_two_pass_reference_bitwise(self):
-        # the reference takes the loss and the gradient from two softmax passes
-        rng = np.random.default_rng(5)
-        k, d, n = 3, 4, 300
-        labels = rng.integers(0, k, n)
-        features = rng.normal(0, 1, (n, d)) + 1.5 * np.eye(k, d)[labels]
-        model, _ = pretrain_source(features, labels, n_classes=k, epochs=20, learning_rate=0.5, rng=rng)
+        # the reference takes the loss and the gradient from two softmax
+        # passes; 404 samples leave 323 to train on, not a multiple of 8
+        for k, d, n in [(3, 4, 300), (4, 16, 1600), (4, 16, 404), (9, 16, 900)]:
+            rng = np.random.default_rng(5)
+            labels = rng.integers(0, k, n)
+            features = rng.normal(0, 1, (n, d)) + 1.5 * np.eye(k, d)[labels]
+            model, _ = pretrain_source(features, labels, n_classes=k, epochs=20, learning_rate=0.5, rng=rng)
 
-        replay = np.random.default_rng(5)
-        replay.integers(0, k, n)
-        replay.normal(0, 1, (n, d))
-        order = replay.permutation(n)
-        train = order[int(round(0.2 * n)) :]
-        x, y = features[train], labels[train]
-        idx = np.arange(len(y))
-        theta = 0.01 * replay.standard_normal(k * (d + 1))
-        for _ in range(20):
-            p = softmax_forward(theta, x)
-            assert np.isfinite(-np.mean(np.log(p[idx, y] + 1e-12)))
-            gz = softmax_forward(theta, x).copy()
-            gz[idx, y] -= 1.0
-            gz /= len(y)
-            theta = theta - 0.5 * np.concatenate([(gz.T @ x).ravel(), gz.sum(axis=0)])
-        assert model.theta.tobytes() == theta.tobytes()
-        assert model.theta_source.tobytes() == theta.tobytes()
+            replay = np.random.default_rng(5)
+            replay.integers(0, k, n)
+            replay.normal(0, 1, (n, d))
+            order = replay.permutation(n)
+            train = order[int(round(0.2 * n)) :]
+            x, y = features[train], labels[train]
+            idx = np.arange(len(y))
+            theta = 0.01 * replay.standard_normal(k * (d + 1))
+            for _ in range(20):
+                p = softmax_forward(theta, x)
+                assert np.isfinite(-np.mean(np.log(p[idx, y] + 1e-12)))
+                gz = softmax_forward(theta, x).copy()
+                gz[idx, y] -= 1.0
+                gz /= len(y)
+                theta = theta - 0.5 * np.concatenate([(gz.T @ x).ravel(), gz.sum(axis=0)])
+            assert model.theta.tobytes() == theta.tobytes(), (k, d, n)
+            assert model.theta_source.tobytes() == theta.tobytes(), (k, d, n)
 
     @pytest.mark.parametrize(
         "change, match",
