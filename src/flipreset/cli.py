@@ -67,14 +67,28 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
+def _prepare_out(args) -> None:
+    """Check ``--out`` and create its parent directory before any work, so a
+    path that cannot be written exits 1 naming ``--out`` at once."""
+    if not args.out:
+        return
+    out = Path(args.out)
+    if args.command == "run" and out.suffix.lower() not in LOG_FORMATS:
+        raise ConfigError(f"--out must end in {' or '.join(LOG_FORMATS)}, got {args.out!r}")
+    if out.is_dir():
+        raise ConfigError(f"--out {args.out!r} is a directory")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out!r}: cannot create its directory: {exc}") from exc
+
+
 def _cmd_pretrain(config: ExperimentConfig, args) -> int:
     seed = config.seeds[0]
     model, holdout = build_model(config, seed)
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         # savez appends ".npz" to a path but writes a file handle as given
-        with open(out, "wb") as fh:
+        with open(args.out, "wb") as fh:
             np.savez(fh, theta=model.theta, n_classes=model.n_classes, n_features=model.n_features)
     if not args.quiet:
         print(f"seed={seed} holdout_accuracy={holdout:.4f}")
@@ -85,8 +99,6 @@ def _cmd_pretrain(config: ExperimentConfig, args) -> int:
 
 def _cmd_run(config: ExperimentConfig, args) -> int:
     out = args.out
-    if out and Path(out).suffix.lower() not in LOG_FORMATS:
-        raise ConfigError(f"--out must end in {' or '.join(LOG_FORMATS)}, got {out!r}")
     seed = config.seeds[0]
     try:
         log = run_experiment(config, seed)
@@ -122,9 +134,7 @@ def _cmd_compare(config: ExperimentConfig, args) -> int:
     summary = compare_policies(config, policies=policies)
     table = summary.table()
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(table + "\n", encoding="utf-8")
+        Path(args.out).write_text(table + "\n", encoding="utf-8")
     if not args.quiet:
         print(table)
     return 0
@@ -146,6 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             # through the config's own checks, like a seed from the file
             config = replace(config, seeds=(args.seed,))
+        _prepare_out(args)
         return _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

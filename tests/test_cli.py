@@ -194,6 +194,21 @@ class TestExportAndPretrain:
         assert main(["export", "--config", config_path, "--out", "x.csv"]) == 1
         assert "export" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(("command", "name"), [("pretrain", "w.npz"), ("run", "log.csv"), ("compare", "table.txt")])
+    def test_unwritable_out_rejected_before_any_work(self, command, name, config_path, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the work started before --out was checked")
+
+        for attr in ("run_experiment", "build_model", "compare_policies"):
+            monkeypatch.setattr(cli, attr, never)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        (tmp_path / name).mkdir()
+        # a parent that is a file, and a directory given as the output file
+        for out in (afile / name, tmp_path / name):
+            assert main([command, "--config", config_path, "--out", str(out)]) == 1
+            assert f"--out {str(out)!r}" in capsys.readouterr().err
+
     def test_pretrain_reports_holdout_and_saves(self, config_path, tmp_path, capsys):
         out = tmp_path / "weights.npz"
         assert main(["pretrain", "--config", config_path, "--out", str(out)]) == 0
