@@ -67,23 +67,21 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _prepare_out(args) -> None:
-    """Check ``--out`` and create its parent directory before any work, so a
-    path that cannot be written exits 1 naming ``--out`` at once."""
-    if not args.out:
+def _prepare_out(out: str | None) -> None:
+    """Create ``--out``'s parent directory before any work, so a path that
+    cannot be written exits 1 naming ``--out`` at once."""
+    if not out:
         return
-    out = Path(args.out)
-    if args.command == "run" and out.suffix.lower() not in LOG_FORMATS:
-        raise ConfigError(f"--out must end in {' or '.join(LOG_FORMATS)}, got {args.out!r}")
-    if out.is_dir():
-        raise ConfigError(f"--out {args.out!r} is a directory")
+    if Path(out).is_dir():
+        raise ConfigError(f"--out {out!r} is a directory")
     try:
-        out.parent.mkdir(parents=True, exist_ok=True)
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"--out {args.out!r}: cannot create its directory: {exc}") from exc
+        raise ConfigError(f"--out {out!r}: cannot create its directory: {exc}") from exc
 
 
 def _cmd_pretrain(config: ExperimentConfig, args) -> int:
+    _prepare_out(args.out)
     seed = config.seeds[0]
     model, holdout = build_model(config, seed)
     if args.out:
@@ -99,6 +97,9 @@ def _cmd_pretrain(config: ExperimentConfig, args) -> int:
 
 def _cmd_run(config: ExperimentConfig, args) -> int:
     out = args.out
+    if out and Path(out).suffix.lower() not in LOG_FORMATS:
+        raise ConfigError(f"--out must end in {' or '.join(LOG_FORMATS)}, got {out!r}")
+    _prepare_out(out)
     seed = config.seeds[0]
     try:
         log = run_experiment(config, seed)
@@ -131,6 +132,7 @@ def _cmd_compare(config: ExperimentConfig, args) -> int:
         policies = {name: policies[name] for name in wanted}
     if len(policies) < 2:
         raise ConfigError("compare needs at least two policies after filtering")
+    _prepare_out(args.out)
     summary = compare_policies(config, policies=policies)
     table = summary.table()
     if args.out:
@@ -156,7 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             # through the config's own checks, like a seed from the file
             config = replace(config, seeds=(args.seed,))
-        _prepare_out(args)
         return _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -97,10 +97,8 @@ def _unpack(theta: np.ndarray, n_features: int) -> tuple[np.ndarray, np.ndarray]
 def softmax_forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities, one row per sample of a batch (max-shifted exp).
 
-    Under 8 classes the work runs class-major, on (K, N) logits whose
-    class-axis reductions add whole rows; from 8 on it keeps numpy's
-    row-wise forms. Either way the result is the C-contiguous (N, K) array
-    of the row-major arithmetic, bit for bit.
+    Under 8 classes the work runs class-major, on (K, N) logits, and still
+    gives the bits of the row-major arithmetic.
     """
     batch = _as_batch(x)
     theta = np.asarray(theta, dtype=float)
@@ -302,9 +300,7 @@ def pretrain_source(
     model = ModelState.initialize(n_classes, features.shape[1], rng)
     x_train, y_train = features[train_idx], labels[train_idx]
     at_label = _flat_index(y_train, n_classes)
-    # p - one_hot is p[i, y_i] -= 1.0 bit for bit, as p - 0.0 == p
-    one_hot = np.zeros((len(y_train), n_classes))
-    one_hot.ravel()[at_label] = 1.0
+    one_hot = np.eye(n_classes)[y_train]  # p - one_hot is p[i, y_i] -= 1.0 bit for bit
     for epoch in range(epochs):
         # one softmax pass serves the loss check and, edited in place into
         # dloss/dlogits, the cross-entropy gradient
