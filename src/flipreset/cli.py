@@ -47,13 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("pretrain", "train the source classifier and report holdout accuracy")
     add("run", "run one experiment; write the per-step log (CSV or JSON-lines, by --out's suffix)")
-    p_compare = add("compare", "run every configured policy across seeds; print a summary table")
-    p_compare.add_argument(
-        "--policy",
-        action="append",
-        default=None,
-        help="restrict to named policies (repeat or comma-separate)",
-    )
+    add("compare", "run every configured policy across seeds; print a summary table")
     return parser
 
 
@@ -121,19 +115,12 @@ def _cmd_run(config: ExperimentConfig, args) -> int:
 
 
 def _cmd_compare(config: ExperimentConfig, args) -> int:
-    policies = config.policies
-    if policies is None:
+    if config.policies is None:
         raise ConfigError("compare requires a 'policies' map in the config")
-    if args.policy:
-        wanted = [name for chunk in args.policy for name in chunk.split(",") if name]
-        missing = [name for name in wanted if name not in policies]
-        if missing:
-            raise ConfigError(f"unknown policy names: {missing}; configured: {sorted(policies)}")
-        policies = {name: policies[name] for name in wanted}
-    if len(policies) < 2:
-        raise ConfigError("compare needs at least two policies after filtering")
+    if len(config.policies) < 2:
+        raise ConfigError("compare needs at least two policies")
     _prepare_out(args.out)
-    summary = compare_policies(config, policies=policies)
+    summary = compare_policies(config)
     table = summary.table()
     if args.out:
         Path(args.out).write_text(table + "\n", encoding="utf-8")
@@ -159,10 +146,7 @@ def main(argv: list[str] | None = None) -> int:
             # through the config's own checks, like a seed from the file
             config = replace(config, seeds=(args.seed,))
         return _COMMANDS[args.command](config, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:

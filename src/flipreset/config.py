@@ -44,8 +44,7 @@ class StreamConfig:
     n_classes: int = 4
     n_features: int = 16
     class_separation: float = 2.5
-    severity_ranges: dict | None = None
-    domains: tuple[Domain, ...] | None = None  # explicit schedule override
+    domains: tuple[Domain, ...] | None = None  # explicit schedule, given instead of num_domains
 
     def __post_init__(self) -> None:
         # build the stream's domain objects now, so that a bad stream is a
@@ -53,9 +52,6 @@ class StreamConfig:
         self.source
         if self.num_domains < 1:
             raise ValueError("num_domains must be >= 1")
-        for kind, pair in (self.severity_ranges or {}).items():
-            for severity in pair:
-                Domain(kind, severity)
         probe = (Domain(CorruptionKind.MEAN_SHIFT, 0.0),) if self.domains is None else self.domains[:1]
         DomainSchedule(probe, self.batches_per_domain, self.transition, seed=0)
 
@@ -191,8 +187,8 @@ def _build(cls, d, where: str, **nested):
 
 def parse_policy(d: dict, batch_size: int, where: str = "policy") -> ResetPolicy:
     """Build a policy from its config dict. An adaptive policy's trigger keys
-    sit beside ``kind``, and beta's sample clock defaults to one batch =
-    ``batch_size`` samples."""
+    sit beside ``kind``, and beta's sample clock is one batch = ``batch_size``
+    samples."""
     kind = _object(d, where).get("kind")
     if type(kind) is not str or kind not in POLICY_KINDS:
         raise ConfigError(f"{where}.kind must be one of {'|'.join(POLICY_KINDS)}, got {kind!r}")
@@ -202,10 +198,8 @@ def parse_policy(d: dict, batch_size: int, where: str = "policy") -> ResetPolicy
     params = {k: v for k, v in d.items() if k != "kind"}
     if all(f.name != "trigger" for f in dataclasses.fields(cls)):
         return _build(cls, params, where)
-    trigger = {"time_unit_scale": batch_size}
-    for key in [f.name for f in dataclasses.fields(TriggerConfig) if f.name in params]:
-        trigger[key] = params.pop(key)
-    params["trigger"] = trigger
+    trigger = {key: params.pop(key) for key in ("beta", "warmup_steps") if key in params}
+    params["trigger"] = {**trigger, "time_unit_scale": batch_size}
     return _build(cls, params, where, trigger=lambda t: _build(TriggerConfig, t, where))
 
 
@@ -215,16 +209,6 @@ def _parse_transition(value) -> Transition:
     return _build(Transition, value, "stream.transition")
 
 
-def _parse_severity_ranges(value) -> dict:
-    ranges = {}
-    for key, pair in _object(value, "stream.severity_ranges").items():
-        where = f"stream.severity_ranges.{key}"
-        ranges[CorruptionKind(key)] = _typed(pair, "tuple[float, ...]", where)
-        if len(pair) != 2 or pair[0] > pair[1]:
-            raise ConfigError(f"{where} must be a [low, high] pair with low <= high, got {pair!r}")
-    return ranges
-
-
 def _parse_domains(value) -> tuple[Domain, ...]:
     return tuple(
         _build(Domain, x, f"stream.domains[{i}]", kind=CorruptionKind)
@@ -232,24 +216,25 @@ def _parse_domains(value) -> tuple[Domain, ...]:
     )
 
 
+def _parse_stream(value) -> StreamConfig:
+    stream = _build(StreamConfig, value, "stream", transition=_parse_transition, domains=_parse_domains)
+    # checked once the domains have parsed, so a bad domain is named first
+    if stream.domains is not None and "num_domains" in value:
+        raise ConfigError("stream.num_domains and stream.domains cannot both be given")
+    return stream
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build a config from a parsed JSON object; raises ConfigError, naming
     the key, on any unknown key or bad value."""
-    # a trigger's sample clock defaults to one batch, so batch_size is checked first
+    # a trigger's sample clock is one batch, so batch_size is checked first
     given = {k: v for k, v in _object(d, "config").items() if k == "batch_size"}
     batch_size = _build(ExperimentConfig, given, "config").batch_size
     return _build(
         ExperimentConfig,
         d,
         "config",
-        stream=lambda s: _build(
-            StreamConfig,
-            s,
-            "stream",
-            transition=_parse_transition,
-            severity_ranges=_parse_severity_ranges,
-            domains=_parse_domains,
-        ),
+        stream=_parse_stream,
         learner=lambda s: _build(
             LearnerConfig, s, "learner", pretrain=lambda p: _build(PretrainConfig, p, "learner.pretrain")
         ),

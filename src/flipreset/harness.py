@@ -83,8 +83,9 @@ class ExperimentLog:
     def mean_accuracy(self) -> float:
         return float(np.mean([r.accuracy for r in self.rows]))
 
-    def final_window_accuracy(self, fraction: float = 0.1) -> float:
-        n = max(1, int(round(fraction * len(self.rows))))
+    def final_window_accuracy(self) -> float:
+        """Mean accuracy over the last 10 % of the rows (at least one row)."""
+        n = max(1, int(round(0.1 * len(self.rows))))
         return float(np.mean([r.accuracy for r in self.rows[-n:]]))
 
     def reset_count(self) -> int:
@@ -118,7 +119,6 @@ def build_schedule(config: ExperimentConfig, seed: int) -> DomainSchedule:
         batches_per_domain=sc.batches_per_domain,
         transition=sc.transition,
         seed=seed,
-        severity_ranges=sc.severity_ranges,
     )
 
 
@@ -244,26 +244,28 @@ class ComparisonSummary:
         return "\n".join(lines)
 
 
-def compare_policies(
-    config: ExperimentConfig, policies: dict[str, ResetPolicy] | None = None
-) -> ComparisonSummary:
-    """Run every (policy, seed) cell on bit-identical per-seed streams.
+def compare_policies(config: ExperimentConfig) -> ComparisonSummary:
+    """Run every (policy, seed) cell of ``config.policies`` on bit-identical
+    per-seed streams.
 
     Each seed's source model is pretrained once and every policy adapts a
     copy of it. A diverging cell is marked failed rather than sinking the
-    comparison.
+    comparison; a seed whose pretraining diverges fails all of its cells.
     """
-    policies = config.policies if policies is None else policies
+    policies = config.policies
     if policies is None or len(policies) < 2:
         raise ValueError("compare_policies needs at least two policies")
 
     cells: dict[str, dict[int, dict]] = {name: {} for name in policies}
     for seed in config.seeds:
-        model = None  # pretrained in the seed's first cell, shared by the rest
+        try:
+            model, _ = build_model(config, seed)
+        except DivergenceError as exc:
+            for name in policies:
+                cells[name][seed] = {"failed": True, "aborted_at": exc.step}
+            continue
         for name, policy in policies.items():
             try:
-                if model is None:
-                    model, _ = build_model(config, seed)
                 log = run_experiment(config, seed, policy=policy, policy_name=name, model=model)
             except DivergenceError as exc:
                 cells[name][seed] = {"failed": True, "aborted_at": exc.step}

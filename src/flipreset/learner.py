@@ -235,9 +235,8 @@ class ModelState:
         rng: np.random.Generator,
         learning_rate: float = 0.05,
         momentum: float = 0.9,
-        init_scale: float = 0.01,
     ) -> "ModelState":
-        theta = init_scale * rng.standard_normal(n_classes * (n_features + 1))
+        theta = 0.01 * rng.standard_normal(n_classes * (n_features + 1))
         return cls(n_classes, n_features, theta, _frozen_copy(theta), learning_rate, momentum)
 
     def replace_weights(self, theta: np.ndarray) -> None:

@@ -172,25 +172,17 @@ class LabeledBatch:
             raise ValueError("non-finite features")
 
 
-def make_schedule(
-    num_domains: int,
-    batches_per_domain: int,
-    transition: Transition,
-    seed: int,
-    severity_ranges: dict[CorruptionKind, tuple[float, float]] | None = None,
-) -> DomainSchedule:
-    """Draw a deterministic pseudo-random sequence of corruption domains."""
+def make_schedule(num_domains: int, batches_per_domain: int, transition: Transition, seed: int) -> DomainSchedule:
+    """Draw a deterministic pseudo-random sequence of corruption domains,
+    each severity uniform in its kind's :data:`DEFAULT_SEVERITY_RANGES`."""
     if num_domains < 1:
         raise ValueError("num_domains must be >= 1")
-    ranges = dict(DEFAULT_SEVERITY_RANGES)
-    if severity_ranges:
-        ranges.update(severity_ranges)
     rng = np.random.default_rng([seed, _SCHEDULE_CHANNEL])
     kinds = list(CorruptionKind)
     domains = []
     for _ in range(num_domains):
         kind = kinds[rng.integers(0, len(kinds))]
-        lo, hi = ranges[kind]
+        lo, hi = DEFAULT_SEVERITY_RANGES[kind]
         domains.append(Domain(kind, float(rng.uniform(lo, hi))))
     return DomainSchedule(
         domains=tuple(domains),

@@ -45,12 +45,12 @@ MALFORMED = [
     (("learner", "pretrain", "epochs"), -1, "epochs"),
     # 4 classes x 1 sample, of which round(0.9 * 4) = 4 are held out
     (("learner", "pretrain"), {"samples_per_class": 1, "holdout_fraction": 0.9}, "holdout_fraction"),
-    # every kind reversed, so whichever kind the schedule draws would fail
-    (
-        ("stream", "severity_ranges"),
-        {kind.value: [2.0, 1.0] for kind in CorruptionKind},
-        "stream.severity_ranges.",
-    ),
+    # removed keys: every schedule draws from the default severity ranges,
+    # and a trigger's clock is always one batch
+    (("stream", "severity_ranges"), {"gaussian_noise": [0.5, 2.5]}, "severity_ranges"),
+    (("policy",), {"kind": "abr", "time_unit_scale": 64}, "time_unit_scale"),
+    # SMALL's stream sets num_domains, so an explicit domain list as well is rejected
+    (("stream", "domains"), [{"kind": "mean_shift", "severity": 1.0}], "stream.num_domains and stream.domains"),
     (("seeds",), [0, 0, 1], "seeds must be distinct"),
     (("policy",), {"kind": "random_timing", "times": [-5, 0, 3]}, "times"),
     (("output",), "log.csv", "output"),
@@ -112,7 +112,6 @@ POLICY = obj(
     times=st.lists(COUNTS, max_size=4),
     beta=NUMBERS,
     warmup_steps=COUNTS,
-    time_unit_scale=NUMBERS,
     force_lambda=st.none() | st.floats(-0.5, 1.5),
 )
 CONFIGS = obj(
@@ -123,7 +122,6 @@ CONFIGS = obj(
         n_classes=st.integers(0, 6),
         n_features=st.integers(0, 8),
         class_separation=NUMBERS,
-        severity_ranges=st.dictionaries(st.sampled_from(WORDS), st.lists(NUMBERS, max_size=3), max_size=3),
         domains=st.lists(obj(kind=st.sampled_from(WORDS), severity=NUMBERS), max_size=3),
     ),
     learner=obj(

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from flipreset.config import load_config
-from flipreset.harness import build_model, export_log, run_experiment
+from flipreset.harness import build_model, export_log, import_log_jsonl, run_experiment
 
 from conftest import CONFIG_DIR, DATA_DIR
 
@@ -31,3 +31,24 @@ def test_exported_log_is_bitwise_identical(name, tmp_path):
     for fmt in ("jsonl", "csv"):
         path = export_log(log, tmp_path / f"{name}.{fmt}")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == entry[f"{fmt}_sha256"], fmt
+
+
+@pytest.mark.parametrize("name", ["quick", "rpl_hard_reset"])
+def test_logged_slope_rule_marks_every_reset(name, tmp_path):
+    # the log contract: an adaptive policy resets at a row exactly when the
+    # row is past warm-up and its slope exceeds its threshold
+    entry = GOLDEN[name]
+    config = load_config(CONFIG_DIR.parent / entry["config"])
+    policy = config.policies[entry["policy"]]
+    run = run_experiment(config, entry["seed"], policy=policy, policy_name=entry["policy"])
+    log = import_log_jsonl(export_log(run, tmp_path / f"{name}.jsonl"))
+    last_reset = 0
+    for row in log.rows:
+        if row.slope is None:
+            assert row.reset == 0, row.t
+        else:
+            past_warmup = row.t - last_reset > policy.trigger.warmup_steps
+            assert row.reset == int(past_warmup and row.slope > row.threshold), row.t
+        if row.reset:
+            last_reset = row.t
+    assert log.reset_count() > 0

@@ -185,7 +185,6 @@ class TestExperimentLog:
         log = make_log([0.0] * 90 + [1.0] * 10, resets={5, 50})
         assert log.mean_accuracy() == pytest.approx(0.1)
         assert log.final_window_accuracy() == pytest.approx(1.0)
-        assert log.final_window_accuracy(fraction=0.2) == pytest.approx(0.5)
         assert log.reset_count() == 2
         assert log.reset_steps() == [5, 50]
 
@@ -272,9 +271,7 @@ class TestExport:
 class TestComparePolicies:
     def test_policy_against_itself_identical(self):
         cfg = small_config()
-        summary = compare_policies(
-            dataclasses.replace(cfg, seeds=(0, 1)), policies={"a": NoReset(), "b": NoReset()}
-        )
+        summary = compare_policies(dataclasses.replace(cfg, seeds=(0, 1), policies={"a": NoReset(), "b": NoReset()}))
         for seed in (0, 1):
             assert summary.cells["a"][seed] == summary.cells["b"][seed]
         assert summary.aggregate("a", "mean_accuracy") == summary.aggregate("b", "mean_accuracy")
@@ -288,13 +285,13 @@ class TestComparePolicies:
 
         monkeypatch.setattr(harness, "build_model", counted)
         policies = {"no_reset": NoReset(), "fixed": FixedInterval(period=20), "abr": small_config().policy}
-        compare_policies(dataclasses.replace(small_config(), seeds=(0, 1)), policies=policies)
+        compare_policies(dataclasses.replace(small_config(), seeds=(0, 1), policies=policies))
         assert calls == [0, 1]
 
     def test_cells_equal_standalone_runs(self):
         cfg = small_config()
         policies = {"no_reset": NoReset(), "fixed": FixedInterval(period=20), "abr": cfg.policy}
-        summary = compare_policies(dataclasses.replace(cfg, seeds=(0, 1)), policies=policies)
+        summary = compare_policies(dataclasses.replace(cfg, seeds=(0, 1), policies=policies))
         for name, policy in policies.items():
             for seed in (0, 1):
                 log = run_experiment(cfg, seed, policy=policy, policy_name=name)
@@ -305,19 +302,29 @@ class TestComparePolicies:
                 }
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_pretraining_divergence_fails_every_cell_of_the_seed(self):
+    def test_pretraining_divergence_fails_every_cell_of_the_seed(self, monkeypatch):
+        calls = []
+
+        def counted(config, seed):
+            calls.append(seed)
+            return build_model(config, seed)
+
+        monkeypatch.setattr(harness, "build_model", counted)
         cfg = small_config(
             stream={"num_domains": 2, "batches_per_domain": 5, "class_separation": 1e200},
             learner={"pretrain": {"samples_per_class": 20, "epochs": 3, "learning_rate": 1e30}},
         )
-        summary = compare_policies(dataclasses.replace(cfg, seeds=(0,)), policies={"a": NoReset(), "b": NoReset()})
+        policies = {"a": NoReset(), "b": NoReset(), "c": FixedInterval(period=2)}
+        summary = compare_policies(dataclasses.replace(cfg, seeds=(0, 1), policies=policies))
         failed = {"failed": True, "aborted_at": 1}
-        assert summary.cells == {"a": {0: failed}, "b": {0: failed}}
+        assert summary.cells == {name: {0: failed, 1: failed} for name in policies}
+        # the failed pretraining is not repeated for the seed's other cells
+        assert calls == [0, 1]
 
     def test_needs_two_policies(self):
         cfg = small_config()
         with pytest.raises(ValueError, match="two policies"):
-            compare_policies(cfg, policies={"a": NoReset()})
+            compare_policies(dataclasses.replace(cfg, policies={"a": NoReset()}))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergent_cell_marked_not_fatal(self):
@@ -332,7 +339,7 @@ class TestComparePolicies:
         )
         # frequent full resets keep the runaway optimizer in check
         policies = {"no_reset": NoReset(), "fixed_5": FixedInterval(period=5)}
-        summary = compare_policies(dataclasses.replace(cfg, seeds=(0,)), policies=policies)
+        summary = compare_policies(dataclasses.replace(cfg, seeds=(0,), policies=policies))
         assert summary.cells["no_reset"][0]["failed"]
         # the diverged cell left the seed's shared source model as it was
         log = run_experiment(cfg, 0, policy=FixedInterval(period=5))
@@ -346,7 +353,7 @@ class TestComparePolicies:
     def test_table_layout(self):
         cfg = small_config()
         summary = compare_policies(
-            dataclasses.replace(cfg, seeds=(0,)), policies={"no_reset": NoReset(), "fixed": FixedInterval(50)}
+            dataclasses.replace(cfg, seeds=(0,), policies={"no_reset": NoReset(), "fixed": FixedInterval(50)})
         )
         table = summary.table()
         lines = table.splitlines()

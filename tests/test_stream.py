@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flipreset.stream import (
+    DEFAULT_SEVERITY_RANGES,
     CorruptionKind,
     Domain,
     DomainSchedule,
@@ -38,11 +39,11 @@ class TestMakeSchedule:
                 assert schedules[i].domains != schedules[j].domains
 
     def test_severities_within_ranges(self):
-        ranges = {CorruptionKind.GAUSSIAN_NOISE: (0.1, 0.2)}
-        sched = make_schedule(200, 1, Transition(), seed=0, severity_ranges=ranges)
+        sched = make_schedule(200, 1, Transition(), seed=0)
+        assert {d.kind for d in sched.domains} == set(CorruptionKind)
         for d in sched.domains:
-            if d.kind is CorruptionKind.GAUSSIAN_NOISE:
-                assert 0.1 <= d.severity <= 0.2
+            lo, hi = DEFAULT_SEVERITY_RANGES[d.kind]
+            assert lo <= d.severity <= hi
 
 
 class TestSampleBatch:
