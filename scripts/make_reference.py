@@ -29,6 +29,7 @@ from flipreset.harness import build_model, export_log, run_experiment
 # 9-digit formatting
 GOLDEN_RUNS = {
     "quick": ("configs/quick.json", "abr", 0),
+    "quick_no_reset": ("configs/quick.json", "no_reset", 0),
     "collapse": ("configs/collapse.json", "abr", 0),
     "bad_timing": ("configs/bad_timing.json", "bad_timing", 0),
     "rpl_hard_reset": ("configs/rpl_ramp.json", "hard_reset", 0),
