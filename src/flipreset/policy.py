@@ -1,13 +1,15 @@
-"""Reset policies: when to re-initialize an adapting model, and how much
-source-model weight to restore when doing so.
+"""Reset policies: when to re-initialize an adapting model (the fire rule) and
+how much source-model weight to restore when doing so (the restore rule).
+Each policy kind is one row of the rule table ``_RULES``:
 
-The adaptive trigger watches the smoothed flip trajectory and fires when the
-slope from its running minimum to the current value clears a threshold that
-shrinks with the square root of the elapsed duration. Firing triggers a
-shrink-restore: new weights are a convex blend of the frozen source weights
-and the adapted weights, with the blend ratio set by how far the signal rose
-above its minimum. Clock-based baselines (fixed interval, preset timings)
-and a full-restore variant share the same machinery.
+    no_reset         never                   --
+    fixed_interval   every ``period`` steps  1.0
+    random_timing    at preset ``times``     1.0
+    hard_reset       adaptive trigger        1.0
+    abr              adaptive trigger        ``force_lambda`` if set, else compute_lambda
+
+The adaptive trigger fires when the smoothed flip trajectory rises off its
+running minimum faster than a threshold that shrinks as 1/sqrt(elapsed time).
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ class TriggerConfig:
             raise ValueError("warmup_steps must be >= 0")
         if not self.time_unit_scale > 0:
             raise ValueError("time_unit_scale must be > 0")
+        # the threshold one step after the minimum, the largest one logged
+        if not math.isfinite(self.beta * math.sqrt(self.time_unit_scale)):
+            raise ValueError(f"beta {self.beta} overflows the threshold at {self.time_unit_scale} samples per step")
 
 
 @dataclass(frozen=True)
@@ -131,20 +136,10 @@ class BalancedReset:
 
 ResetPolicy = NoReset | FixedInterval | RandomTiming | HardReset | BalancedReset
 
-# config-file name of each policy variant
-POLICY_KINDS: dict[str, type] = {
-    "no_reset": NoReset,
-    "fixed_interval": FixedInterval,
-    "random_timing": RandomTiming,
-    "hard_reset": HardReset,
-    "abr": BalancedReset,
-}
-_KIND_OF = {cls: kind for kind, cls in POLICY_KINDS.items()}
-
 
 def policy_name(policy: ResetPolicy) -> str:
     """Canonical config-file name of a policy variant."""
-    return _KIND_OF[type(policy)]
+    return _RULES[type(policy)][0]
 
 
 def _rise(state: FlipSignalState) -> tuple[float, int] | None:
@@ -228,6 +223,25 @@ def blend_weights(
     return lam * theta_source + (1.0 - lam) * theta_prev
 
 
+def _adaptive_fires(policy: HardReset | BalancedReset, state: FlipSignalState, rise) -> bool:
+    return _fires(state, rise, policy.trigger)
+
+
+# per policy kind: config-file name, fire rule (policy, state, rise) -> bool,
+# and restore rule (policy, state) -> restore ratio, read only when it fires
+_RULES = {
+    NoReset: ("no_reset", lambda p, st, rise: False, None),
+    FixedInterval: ("fixed_interval", lambda p, st, rise: st.t >= 1 and st.t % p.period == 0, lambda p, st: 1.0),
+    RandomTiming: ("random_timing", lambda p, st, rise: st.t in p.times, lambda p, st: 1.0),
+    HardReset: ("hard_reset", _adaptive_fires, lambda p, st: 1.0),
+    BalancedReset: (
+        "abr", _adaptive_fires, lambda p, st: compute_lambda(st) if p.force_lambda is None else p.force_lambda
+    ),
+}
+# config-file name of each policy variant
+POLICY_KINDS: dict[str, type] = {kind: cls for cls, (kind, _, _) in _RULES.items()}
+
+
 def policy_step(
     policy: ResetPolicy, state: FlipSignalState, model: ModelState
 ) -> PolicyDecision:
@@ -237,33 +251,16 @@ def policy_step(
     its previous-step snapshot and optimizer state start over, and the flip
     signal is cleared. Called once per adapted batch, after the signal update.
     """
-    cfg = getattr(policy, "trigger", None)
+    _, fires, restore = _RULES[type(policy)]
     rise = _rise(state)
     s = thr = delta_lf = delta_t = None
     if rise is not None:
         delta_lf, delta_t = rise
         s = delta_lf / delta_t
-        if cfg is not None:
-            thr = threshold_value(delta_t, cfg)
+        if fires is _adaptive_fires:
+            thr = threshold_value(delta_t, policy.trigger)
 
-    lam: float | None = None
-    if isinstance(policy, NoReset):
-        pass
-    elif isinstance(policy, FixedInterval):
-        if state.t >= 1 and state.t % policy.period == 0:
-            lam = 1.0
-    elif isinstance(policy, RandomTiming):
-        if state.t in policy.times:
-            lam = 1.0
-    elif isinstance(policy, HardReset):
-        if _fires(state, rise, policy.trigger):
-            lam = 1.0
-    elif isinstance(policy, BalancedReset):
-        if _fires(state, rise, policy.trigger):
-            lam = policy.force_lambda if policy.force_lambda is not None else compute_lambda(state)
-    else:
-        raise TypeError(f"unknown policy: {policy!r}")
-
+    lam = restore(policy, state) if fires(policy, state, rise) else None
     if lam is not None:
         model.replace_weights(blend_weights(model.theta_source, model.theta, lam))
         state.reset_signal()

@@ -53,6 +53,8 @@ MALFORMED = [
     (("stream", "domains"), [{"kind": "mean_shift", "severity": 1.0}], "stream.num_domains and stream.domains"),
     (("seeds",), [0, 0, 1], "seeds must be distinct"),
     (("policy",), {"kind": "random_timing", "times": [-5, 0, 3]}, "times"),
+    # finite, but beta * sqrt(batch_size), the threshold one step after the minimum, is not
+    (("policy",), {"kind": "abr", "beta": 1e308}, "beta"),
     (("output",), "log.csv", "output"),
 ]
 

@@ -14,10 +14,17 @@ import pytest
 
 from flipreset.config import load_config
 from flipreset.harness import build_model, export_log, import_log_jsonl, run_experiment
+from flipreset.policy import BalancedReset
 
 from conftest import CONFIG_DIR, DATA_DIR
 
 GOLDEN = json.loads((DATA_DIR / "golden_logs.json").read_text(encoding="utf-8"))
+
+
+def assert_exports_match(log, entry, tmp_path):
+    for fmt in ("jsonl", "csv"):
+        path = export_log(log, tmp_path / f"run.{fmt}")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == entry[f"{fmt}_sha256"], fmt
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -28,9 +35,17 @@ def test_exported_log_is_bitwise_identical(name, tmp_path):
     model, _ = build_model(config, entry["seed"])
     assert hashlib.sha256(model.theta_source.tobytes()).hexdigest() == entry["theta_source_sha256"]
     log = run_experiment(config, entry["seed"], policy=config.policies[policy], policy_name=policy, model=model)
-    for fmt in ("jsonl", "csv"):
-        path = export_log(log, tmp_path / f"{name}.{fmt}")
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == entry[f"{fmt}_sha256"], fmt
+    assert_exports_match(log, entry, tmp_path)
+
+
+def test_forced_full_restore_reproduces_hard_reset(tmp_path):
+    # abr with force_lambda 1.0 fires on the same trigger and restores fully,
+    # so its logs are hard_reset's, bit for bit
+    entry = GOLDEN["rpl_hard_reset"]
+    config = load_config(CONFIG_DIR.parent / entry["config"])
+    forced = BalancedReset(config.policies["hard_reset"].trigger, force_lambda=1.0)
+    log = run_experiment(config, entry["seed"], policy=forced, policy_name="hard_reset")
+    assert_exports_match(log, entry, tmp_path)
 
 
 @pytest.mark.parametrize("name", ["quick", "rpl_hard_reset"])

@@ -20,7 +20,14 @@ from flipreset.harness import (
     run_experiment,
 )
 from flipreset.learner import DivergenceError, predict
-from flipreset.policy import FixedInterval, NoReset
+from flipreset.policy import (
+    POLICY_KINDS,
+    BalancedReset,
+    FixedInterval,
+    HardReset,
+    NoReset,
+    RandomTiming,
+)
 from flipreset.stream import SourceDistribution, sample_batch
 
 
@@ -50,6 +57,20 @@ class TestRunExperiment:
         a = run_experiment(cfg, 3)
         b = run_experiment(cfg, 3)
         assert rows_equal(a, b)
+
+    def test_log_is_labelled_with_the_policy_kind(self):
+        cfg = small_config(stream={"num_domains": 1, "batches_per_domain": 12})
+        policies = {
+            "no_reset": NoReset(),
+            "fixed_interval": FixedInterval(period=5),
+            "random_timing": RandomTiming(times=(3, 7)),
+            "hard_reset": HardReset(),
+            "abr": BalancedReset(),
+        }
+        assert policies.keys() == POLICY_KINDS.keys()
+        model, _ = build_model(cfg, 0)
+        for kind, policy in policies.items():
+            assert run_experiment(cfg, 0, policy=policy, model=model).policy_name == kind
 
     def test_one_row_per_batch(self):
         cfg = small_config()
