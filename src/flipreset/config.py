@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .learner import AdaptLoss, EntropyMin, RobustPseudoLabel, holdout_count
-from .policy import POLICY_KINDS, NoReset, ResetPolicy, TriggerConfig
+from .policy import POLICY_KINDS, NoReset, RandomTiming, ResetPolicy, TriggerConfig
 from .stream import CorruptionKind, Domain, DomainSchedule, SourceDistribution, Transition
 
 __all__ = [
@@ -54,6 +54,11 @@ class StreamConfig:
             raise ValueError("num_domains must be >= 1")
         probe = (Domain(CorruptionKind.MEAN_SHIFT, 0.0),) if self.domains is None else self.domains[:1]
         DomainSchedule(probe, self.batches_per_domain, self.transition, seed=0)
+
+    @property
+    def horizon(self) -> int:
+        """The stream's number of batches."""
+        return (self.num_domains if self.domains is None else len(self.domains)) * self.batches_per_domain
 
     @cached_property
     def source(self) -> SourceDistribution:
@@ -119,6 +124,14 @@ class ExperimentConfig:
         n = pre.samples_per_class * self.stream.n_classes
         if holdout_count(n, pre.holdout_fraction) >= n:
             raise ConfigError(f"learner.pretrain.holdout_fraction leaves none of {n} samples to train on")
+        # a preset reset time past the stream's end would never fire
+        named = {"policy": self.policy, **{f"policies.{k}": p for k, p in (self.policies or {}).items()}}
+        for where, policy in named.items():
+            if isinstance(policy, RandomTiming) and policy.times and policy.times[-1] > self.stream.horizon:
+                raise ConfigError(
+                    f"{where}.times must lie within the stream's {self.stream.horizon} steps, "
+                    f"got {policy.times[-1]}"
+                )
 
 
 # the JSON type that a scalar field's annotation asks for, and its name in messages

@@ -9,7 +9,11 @@ own channel, and learner init/pretraining from a third.
 from __future__ import annotations
 
 import json
+import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -27,6 +31,7 @@ __all__ = [
     "CSV_HEADER",
     "LOG_FORMATS",
     "LogRow",
+    "LogColumns",
     "ExperimentLog",
     "ComparisonSummary",
     "build_model",
@@ -58,41 +63,155 @@ CSV_HEADER = ",".join(_COLUMNS.values())
 # the log file formats, named by the path suffix that selects each
 LOG_FORMATS = (".csv", ".jsonl")
 _row_values = attrgetter(*_COLUMNS)
-# a CSV row is formatted by one template built from the field types, with
-# the nullable fields passed through _opt first
-_CSV_FORMATS = {"int": "%d", "float": "%.9g", "float | None": "%s"}
-_CSV_ROW = ",".join(_CSV_FORMATS[f.type] for f in fields(LogRow)) + "\n"
+_INTS = tuple(i for i, f in enumerate(fields(LogRow)) if f.type == "int")
 _NULLABLE = tuple(i for i, f in enumerate(fields(LogRow)) if f.type.endswith(" | None"))
-# a JSON-lines row is the text json.dumps gives a LogRow's dict, from one
-# template; the float fields are put in as json writes them: None as null,
-# and float.__repr__ also for numpy floats, whose repr reads np.float64(...)
-_JSON_ROW = "{" + ", ".join(f'"{c}": %s' for c in _COLUMNS.values()) + "}\n"
-_FLOATS = tuple(i for i, f in enumerate(fields(LogRow)) if f.type.startswith("float"))
+# rows are built, formatted and parsed this many at a time, so that no pass
+# over a long log holds all of it as Python objects or text
+_CHUNK = 1024
+
+
+def _cell_formats(formats: dict[str, str]) -> list[str]:
+    """Each field's cell in a file format's row template: its type's format,
+    or text for a nullable field, which is formatted first so that NaN, for
+    None, can read as the format's null."""
+    return ["%s" if f.type.endswith(" | None") else formats[f.type] for f in fields(LogRow)]
+
+
+_CSV_FORMATS = {"int": "%d", "float": "%.9g"}
+_CSV_ROW = ",".join(_cell_formats(_CSV_FORMATS)) + "\n"
+# a JSON-lines row is the text json.dumps gives the row's dict: floats as
+# float.__repr__ writes them and None as null
+_JSON_FORMATS = {"int": "%d", "float": "%r"}
+_JSON_ROW = "{" + ", ".join(map('"{}": {}'.format, _COLUMNS.values(), _cell_formats(_JSON_FORMATS))) + "}\n"
+# per file format: row template, nullable float format, and null
+_CSV_TEXT = (_CSV_ROW, _CSV_FORMATS["float"], "")
+_JSON_TEXT = (_JSON_ROW, _JSON_FORMATS["float"], "null")
 _json_values = itemgetter(*_COLUMNS.values())
+
+
+def _rows(block: np.ndarray) -> list[LogRow]:
+    """The rows of a block of columns, as built-in values."""
+    cols = block.tolist()
+    for i in _INTS:
+        cols[i] = map(int, cols[i])
+    for i in _NULLABLE:
+        cols[i] = [None if v != v else v for v in cols[i]]
+    return list(map(LogRow, *cols))
+
+
+def _text(block: np.ndarray, template: str, fmt: str, null: str) -> str:
+    """The rows of a block of columns, written by a file format's row template."""
+    cols = block.tolist()
+    for i in _NULLABLE:
+        cols[i] = [null if v != v else fmt % v for v in cols[i]]
+    return "".join(map(template.__mod__, zip(*cols)))
+
+
+class LogColumns(Sequence[LogRow]):
+    """A log's rows held as one float64 column per :class:`LogRow` field.
+
+    The store is sized up front, to a run's horizon. ``None`` is stored as
+    NaN, which is unambiguous because every stored float is finite: a row
+    given as a :class:`LogRow` is checked, and the run loop's own values are
+    finite by its checks. It reads as a sequence of rows, each built on
+    access and never kept, so a row costs 80 bytes however often it is read.
+    """
+
+    def __init__(self, capacity: int = 0) -> None:
+        self._columns = np.empty((len(_COLUMNS), capacity))
+        self._n = 0
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[LogRow]) -> LogColumns:
+        """A store holding ``rows``; raises ValueError, naming the row's ``t``,
+        if a float in one is NaN or infinite."""
+        store = cls(len(rows))
+        for row in rows:
+            values = _row_values(row)
+            if not all(v is None or math.isfinite(v) for v in values):
+                raise ValueError(f"non-finite value in the log row at t={row.t}")
+            store.append(values)
+        return store
+
+    @classmethod
+    def _of(cls, columns: np.ndarray) -> LogColumns:
+        store = cls()
+        store._columns, store._n = columns, columns.shape[1]
+        return store
+
+    def append(self, values: tuple) -> None:
+        """Add one row, given as its field values in :class:`LogRow` order;
+        raises IndexError if the store is full."""
+        self._columns[:, self._n] = values
+        self._n += 1
+
+    def column(self, name: str) -> np.ndarray:
+        """A read-only view of one field's values, NaN where a row has None."""
+        view = self._columns[list(_COLUMNS).index(name), : self._n]
+        view.flags.writeable = False
+        return view
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The columns of consecutive rows, at most ``_CHUNK`` rows at a time."""
+        for start in range(0, self._n, _CHUNK):
+            yield self._columns[:, start : min(start + _CHUNK, self._n)]
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _rows(self._columns[:, : self._n][:, index])
+        i = operator.index(index)
+        if not -self._n <= i < self._n:
+            raise IndexError(f"log row index {i} out of range for {self._n} rows")
+        i %= self._n
+        return _rows(self._columns[:, i : i + 1])[0]
+
+    def __iter__(self) -> Iterator[LogRow]:
+        for block in self.blocks():
+            yield from _rows(block)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"LogColumns({self._n} rows)"
 
 
 @dataclass
 class ExperimentLog:
-    """Per-step rows for one run, plus abort marker when a run diverged."""
+    """Per-step rows for one run, plus abort marker when a run diverged.
+
+    ``rows`` may be given as a list of :class:`LogRow`; it is held as a
+    :class:`LogColumns` store.
+    """
 
     policy_name: str
     seed: int
-    rows: list[LogRow] = field(default_factory=list)
+    rows: Sequence[LogRow] = field(default_factory=LogColumns)
     aborted_at: int | None = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.rows, LogColumns):
+            self.rows = LogColumns.from_rows(self.rows)
+
     def mean_accuracy(self) -> float:
-        return float(np.mean([r.accuracy for r in self.rows]))
+        return float(np.mean(self.rows.column("accuracy")))
 
     def final_window_accuracy(self) -> float:
         """Mean accuracy over the last 10 % of the rows (at least one row)."""
         n = max(1, int(round(0.1 * len(self.rows))))
-        return float(np.mean([r.accuracy for r in self.rows[-n:]]))
+        return float(np.mean(self.rows.column("accuracy")[-n:]))
 
     def reset_count(self) -> int:
-        return sum(r.reset for r in self.rows)
+        return int(self.rows.column("reset").sum())
 
     def reset_steps(self) -> list[int]:
-        return [r.t for r in self.rows if r.reset]
+        rows = self.rows
+        return rows.column("t")[rows.column("reset") != 0].astype(int).tolist()
 
     def summary(self) -> dict:
         """The per-run record that comparisons and the reference data keep."""
@@ -171,7 +290,8 @@ def run_experiment(
     loss = config.learner.adapt_loss
     state = FlipSignalState()
 
-    log = ExperimentLog(policy_name=policy_name, seed=seed)
+    log = ExperimentLog(policy_name=policy_name, seed=seed, rows=LogColumns(schedule.horizon))
+    append = log.rows.append
     for t in range(1, schedule.horizon + 1):
         try:
             # the stream's and the downstream guards (softmax, confidence
@@ -190,20 +310,10 @@ def run_experiment(
         # capture signal values before a reset clears them
         lf_ema, lf_min = state.lf_ema, state.lf_min
         decision = policy_step(policy, state, model)
-        log.rows.append(
-            LogRow(
-                t=t,
-                domain=batch.domain_index,
-                accuracy=accuracy,
-                lf_raw=raw,
-                lf_ema=lf_ema,
-                lf_min=lf_min,
-                slope=decision.slope,
-                threshold=decision.threshold,
-                reset=int(decision.reinitialize),
-                lam=decision.lam,
-            )
-        )
+        append((
+            t, batch.domain_index, accuracy, raw, lf_ema, lf_min,
+            decision.slope, decision.threshold, decision.reinitialize, decision.lam,
+        ))
     return log
 
 
@@ -274,10 +384,6 @@ def compare_policies(config: ExperimentConfig) -> ComparisonSummary:
     return ComparisonSummary(seeds=config.seeds, cells=cells)
 
 
-def _opt(x: float | None) -> str:
-    return "" if x is None else _CSV_FORMATS["float"] % x
-
-
 def export_log(log: ExperimentLog, path: str | Path) -> Path:
     """Write a log in the format that the path's suffix names, one of
     :data:`LOG_FORMATS`."""
@@ -290,27 +396,17 @@ def export_log(log: ExperimentLog, path: str | Path) -> Path:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if fmt == ".csv":
             fh.write(CSV_HEADER + "\n")
-            for r in log.rows:
-                values = list(_row_values(r))
-                for i in _NULLABLE:
-                    values[i] = _opt(values[i])
-                fh.write(_CSV_ROW % tuple(values))
+            form = _CSV_TEXT
         else:
             meta = {"policy": log.policy_name, "seed": log.seed, "aborted_at": log.aborted_at}
             fh.write(json.dumps(meta) + "\n")
-            for r in log.rows:
-                values = list(_row_values(r))
-                for i in _FLOATS:
-                    v = values[i]
-                    values[i] = (
-                        "null" if v is None else float.__repr__(v) if isinstance(v, float) else json.dumps(v)
-                    )
-                line = _JSON_ROW % tuple(values)
-                # only a non-finite float spells nan or inf: no column name does
-                if "nan" in line or "inf" in line:
-                    raise ValueError(f"non-finite value in the log row at t={r.t}")
-                fh.write(line)
+            form = _JSON_TEXT
+        fh.writelines(_text(block, *form) for block in log.rows.blocks())
     return path
+
+
+def _non_finite(constant: str) -> float:
+    raise ValueError(f"non-finite value {constant} in the log")
 
 
 def import_log_jsonl(path: str | Path) -> ExperimentLog:
@@ -321,9 +417,19 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
         if first is None:
             raise ValueError(f"{path}: empty log file")
         meta = json.loads(first)
-        log = ExperimentLog(
-            policy_name=meta["policy"], seed=int(meta["seed"]), aborted_at=meta["aborted_at"]
-        )
-        decode = json.JSONDecoder().decode  # what json.loads calls for a str
-        log.rows.extend(LogRow(*_json_values(decode(line))) for line in lines)
-    return log
+        decode = json.JSONDecoder(parse_constant=_non_finite).decode
+        blocks = [np.empty((len(_COLUMNS), 0))]
+        while chunk := list(islice(lines, _CHUNK)):
+            # one decode per chunk of lines, transposed into columns, in
+            # which numpy reads each null as NaN
+            rows = decode("[" + ",".join(chunk) + "]")
+            blocks.append(np.array(list(zip(*map(_json_values, rows))), dtype=float))
+    columns = np.concatenate(blocks, axis=1)
+    if np.isinf(columns).any():  # a number too large for a float
+        raise ValueError(f"{path}: non-finite value in the log")
+    return ExperimentLog(
+        policy_name=meta["policy"],
+        seed=int(meta["seed"]),
+        rows=LogColumns._of(columns),
+        aborted_at=meta["aborted_at"],
+    )

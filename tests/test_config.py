@@ -53,6 +53,13 @@ MALFORMED = [
     (("stream", "domains"), [{"kind": "mean_shift", "severity": 1.0}], "stream.num_domains and stream.domains"),
     (("seeds",), [0, 0, 1], "seeds must be distinct"),
     (("policy",), {"kind": "random_timing", "times": [-5, 0, 3]}, "times"),
+    # SMALL's stream is 20 batches long, so a later time would never fire
+    (("policy",), {"kind": "random_timing", "times": [5, 1000000000]}, "policy.times must lie within the stream's 20"),
+    (
+        ("policies",),
+        {"none": {"kind": "no_reset"}, "late": {"kind": "random_timing", "times": [5, 21]}},
+        "policies.late.times",
+    ),
     # finite, but beta * sqrt(batch_size), the threshold one step after the minimum, is not
     (("policy",), {"kind": "abr", "beta": 1e308}, "beta"),
     (("output",), "log.csv", "output"),
@@ -79,6 +86,11 @@ def test_holdout_must_leave_a_training_sample():
     with pytest.raises(ConfigError, match="holdout_fraction"):
         config_from_dict({"stream": stream, "learner": {"pretrain": {"samples_per_class": 1, "holdout_fraction": 0.75}}})
     config_from_dict({"stream": stream, "learner": {"pretrain": {"samples_per_class": 1, "holdout_fraction": 0.5}}})
+
+
+def test_random_timing_may_fire_at_the_last_step():
+    config = config_from_dict({**SMALL, "policy": {"kind": "random_timing", "times": [5, 20]}})
+    assert config.policy.times == (5, 20) and config.stream.horizon == 20
 
 
 def test_json_integer_in_float_field_becomes_float():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from flipreset.config import config_from_dict
 from flipreset.harness import (
     CSV_HEADER,
     ExperimentLog,
+    LogColumns,
     LogRow,
     build_model,
     build_schedule,
@@ -182,8 +184,8 @@ class TestRunExperiment:
         assert rows_equal(run_experiment(cfg, 2, model=model), run_experiment(cfg, 2))
 
 
-def make_log(accs, resets=()):
-    rows = [
+def make_rows(accs, resets=()):
+    return [
         LogRow(
             t=i + 1,
             domain=0,
@@ -198,7 +200,10 @@ def make_log(accs, resets=()):
         )
         for i, a in enumerate(accs)
     ]
-    return ExperimentLog(policy_name="x", seed=0, rows=rows)
+
+
+def make_log(accs, resets=()):
+    return ExperimentLog(policy_name="x", seed=0, rows=make_rows(accs, resets))
 
 
 class TestExperimentLog:
@@ -208,6 +213,78 @@ class TestExperimentLog:
         assert log.final_window_accuracy() == pytest.approx(1.0)
         assert log.reset_count() == 2
         assert log.reset_steps() == [5, 50]
+
+
+class TestLogColumns:
+    # longer than one chunk of the store, with slope, threshold and lam on some rows
+    GIVEN = [
+        dataclasses.replace(r, slope=r.t * 1e-6, threshold=2.5e-7) if r.t % 3 else r
+        for r in make_rows([(i % 7) / 7 for i in range(2500)], resets=set(range(5, 2500, 11)))
+    ]
+
+    def test_reads_as_the_given_rows(self):
+        given = self.GIVEN
+        rows = ExperimentLog("x", 0, rows=given).rows
+        assert len(rows) == len(given)
+        assert list(rows) == given
+        assert [rows[i] for i in (0, 1, 1024, len(given) - 1)] == [given[i] for i in (0, 1, 1024, -1)]
+        assert [rows[-i] for i in (1, 2, len(given))] == [given[-i] for i in (1, 2, len(given))]
+        for index in (slice(None), slice(1000, 1100), slice(-3, None), slice(None, None, 7), slice(30, 10, -3)):
+            assert rows[index] == given[index]
+            assert type(rows[index]) is list
+        assert rows[3000:] == []
+        for index in (len(given), -len(given) - 1):
+            with pytest.raises(IndexError):
+                rows[index]
+
+    def test_append_fills_the_store_up_to_its_capacity(self):
+        rows = LogColumns(5)
+        for row in self.GIVEN[:5]:
+            rows.append(dataclasses.astuple(row))
+        assert list(rows) == self.GIVEN[:5]
+        with pytest.raises(IndexError):
+            rows.append(dataclasses.astuple(self.GIVEN[5]))
+        assert len(rows) == 5
+
+    def test_replace_round_trips(self):
+        log = ExperimentLog("x", 0, rows=self.GIVEN)
+        assert dataclasses.replace(log, rows=list(log.rows)) == log
+        changed = [dataclasses.replace(r, lf_ema=0.5) if r.t == 2 else r for r in log.rows]
+        other = dataclasses.replace(log, rows=changed)
+        assert other != log and list(other.rows) == changed
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverged_run_keeps_its_completed_rows(self, tmp_path):
+        cfg = small_config(
+            learner={
+                "loss": "entropy",
+                "learning_rate": 1.0,
+                "momentum": 25.0,
+                "pretrain": {"samples_per_class": 100, "epochs": 60},
+            },
+            stream={"num_domains": 10, "batches_per_domain": 50},
+        )
+        with pytest.raises(DivergenceError) as excinfo:
+            run_experiment(cfg, 0)
+        err = excinfo.value
+        rows = list(err.log.rows)
+        assert [r.t for r in rows] == list(range(1, err.step))
+        text = export_log(err.log, tmp_path / "diverged.csv").read_text()
+        # the CSV holds those rows and nothing of the store's unfilled capacity
+        assert text == export_log(ExperimentLog("x", 0, rows=rows), tmp_path / "rows.csv").read_text()
+        assert len(text.splitlines()) == err.step
+
+    def test_a_long_store_holds_eighty_bytes_a_row(self):
+        tracemalloc.start()
+        try:
+            rows = LogColumns(20_000)
+            for t in range(1, 20_001):
+                rows.append((t, 0, 0.5, 0.0, 0.0, 0.0, None, None, 0, None))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 20_000 and rows[-1].t == 20_000
+        assert held <= 1.7 * 2**20
 
 
 class TestExport:
@@ -255,17 +332,21 @@ class TestExport:
             t=3, domain=1, accuracy=np.float64(0.1), lf_raw=1e-300, lf_ema=-0.0, lf_min=1e16,
             slope=None, threshold=np.float64(2.5e-7), reset=1, lam=1,
         )
-        path = export_log(ExperimentLog("x", 0, rows=[row]), tmp_path / "log.jsonl")
-        expected = json.dumps(dict(zip(CSV_HEADER.split(","), dataclasses.astuple(row))))
+        log = ExperimentLog("x", 0, rows=[row])
+        path = export_log(log, tmp_path / "log.jsonl")
+        # a float column holds the int lam as the float 1.0
+        stored = log.rows[0]
+        assert type(stored.lam) is float and stored.lam == 1.0
+        expected = json.dumps(dict(zip(CSV_HEADER.split(","), dataclasses.astuple(stored))))
         assert path.read_text().splitlines()[1] == expected
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", ["lf_raw", "lam"])
-    def test_jsonl_non_finite_float_names_its_row(self, tmp_path, column, bad):
-        log = make_log([0.5, 0.25, 1.0], resets={2})
-        log.rows[1] = dataclasses.replace(log.rows[1], **{column: bad})
+    def test_jsonl_non_finite_float_names_its_row(self, column, bad):
+        rows = list(make_log([0.5, 0.25, 1.0], resets={2}).rows)
+        rows[1] = dataclasses.replace(rows[1], **{column: bad})
         with pytest.raises(ValueError, match="non-finite value in the log row at t=2"):
-            export_log(log, tmp_path / "log.jsonl")
+            ExperimentLog("x", 0, rows=rows)
 
     def test_jsonl_import_skips_blank_lines(self, tmp_path):
         log = make_log([0.5, 0.25], resets={2})
@@ -274,6 +355,13 @@ class TestExport:
         path.write_text("\n" + "\r\n\n".join(lines) + "\n\n", newline="")
         back = import_log_jsonl(path)
         assert back.policy_name == "x" and rows_equal(back, log)
+
+    @pytest.mark.parametrize("value", ["NaN", "-Infinity", "1e999"])
+    def test_jsonl_import_rejects_non_finite_floats(self, tmp_path, value):
+        path = export_log(make_log([0.5, 0.25]), tmp_path / "log.jsonl")
+        path.write_text(path.read_text().replace('"lf_raw": 0.0', f'"lf_raw": {value}', 1))
+        with pytest.raises(ValueError, match="non-finite value"):
+            import_log_jsonl(path)
 
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_jsonl_import_of_empty_file_rejected(self, tmp_path, text):

@@ -221,6 +221,15 @@ class TestPolicyStep:
         fired = [t for t, d in enumerate(decisions, start=1) if d.reinitialize]
         assert fired == [3, 17, 40]
 
+    def test_random_timing_over_a_long_times_list(self, rng):
+        # about a quarter of 3,000 steps, the first and the last among them
+        listed = rng.random(3000) < 0.25
+        listed[[0, -1]] = True
+        times = tuple((np.flatnonzero(listed) + 1).tolist())
+        decisions = run_policy(RandomTiming(times=times), rng.normal(0, 1, 3000), tiny_model(rng))
+        fired = [t for t, d in enumerate(decisions, start=1) if d.reinitialize]
+        assert fired == list(times)
+
     def test_reinitialize_side_effects(self, rng):
         model = tiny_model(rng)
         theta_before = model.theta.copy()
