@@ -65,27 +65,27 @@ LOG_FORMATS = (".csv", ".jsonl")
 _row_values = attrgetter(*_COLUMNS)
 _INTS = tuple(i for i, f in enumerate(fields(LogRow)) if f.type == "int")
 _NULLABLE = tuple(i for i, f in enumerate(fields(LogRow)) if f.type.endswith(" | None"))
+_REQUIRED = tuple(i for i in range(len(_COLUMNS)) if i not in _NULLABLE)
 # rows are built, formatted and parsed this many at a time, so that no pass
 # over a long log holds all of it as Python objects or text
 _CHUNK = 1024
 
 
-def _cell_formats(formats: dict[str, str]) -> list[str]:
-    """Each field's cell in a file format's row template: its type's format,
-    or text for a nullable field, which is formatted first so that NaN, for
-    None, can read as the format's null."""
-    return ["%s" if f.type.endswith(" | None") else formats[f.type] for f in fields(LogRow)]
+def _cells(float_format: str) -> list[str]:
+    """Each field's cell in a file format's row template: an int as %d, a
+    float in the format's own way, and a nullable float as text, formatted
+    first so that NaN, for None, can read as the format's null."""
+    return [
+        "%s" if i in _NULLABLE else "%d" if f.type == "int" else float_format
+        for i, f in enumerate(fields(LogRow))
+    ]
 
 
-_CSV_FORMATS = {"int": "%d", "float": "%.9g"}
-_CSV_ROW = ",".join(_cell_formats(_CSV_FORMATS)) + "\n"
+# per file format: row template, float format and null
+_CSV_TEXT = (",".join(_cells("%.9g")) + "\n", "%.9g", "")
 # a JSON-lines row is the text json.dumps gives the row's dict: floats as
 # float.__repr__ writes them and None as null
-_JSON_FORMATS = {"int": "%d", "float": "%r"}
-_JSON_ROW = "{" + ", ".join(map('"{}": {}'.format, _COLUMNS.values(), _cell_formats(_JSON_FORMATS))) + "}\n"
-# per file format: row template, nullable float format, and null
-_CSV_TEXT = (_CSV_ROW, _CSV_FORMATS["float"], "")
-_JSON_TEXT = (_JSON_ROW, _JSON_FORMATS["float"], "null")
+_JSON_TEXT = ("{" + ", ".join(map('"{}": {}'.format, _COLUMNS.values(), _cells("%r"))) + "}\n", "%r", "null")
 _json_values = itemgetter(*_COLUMNS.values())
 
 
@@ -124,12 +124,15 @@ class LogColumns(Sequence[LogRow]):
     @classmethod
     def from_rows(cls, rows: Sequence[LogRow]) -> LogColumns:
         """A store holding ``rows``; raises ValueError, naming the row's ``t``,
-        if a float in one is NaN or infinite."""
+        if a float in one is NaN or infinite, or a field that cannot be empty
+        is None."""
         store = cls(len(rows))
         for row in rows:
             values = _row_values(row)
             if not all(v is None or math.isfinite(v) for v in values):
                 raise ValueError(f"non-finite value in the log row at t={row.t}")
+            if any(values[i] is None for i in _REQUIRED):
+                raise ValueError(f"empty required field in the log row at t={row.t}")
             store.append(values)
         return store
 
@@ -427,6 +430,8 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
     columns = np.concatenate(blocks, axis=1)
     if np.isinf(columns).any():  # a number too large for a float
         raise ValueError(f"{path}: non-finite value in the log")
+    if any(np.isnan(columns[i]).any() for i in _REQUIRED):
+        raise ValueError(f"{path}: null in a required field of the log")
     return ExperimentLog(
         policy_name=meta["policy"],
         seed=int(meta["seed"]),

@@ -348,6 +348,15 @@ class TestExport:
         with pytest.raises(ValueError, match="non-finite value in the log row at t=2"):
             ExperimentLog("x", 0, rows=rows)
 
+    def test_row_with_an_empty_required_field_is_rejected(self, tmp_path):
+        rows = make_rows([0.5, 0.25])
+        with pytest.raises(ValueError, match="empty required field in the log row at t=2"):
+            ExperimentLog("x", 0, rows=[rows[0], dataclasses.replace(rows[1], accuracy=None)])
+        path = export_log(ExperimentLog("x", 0, rows=rows), tmp_path / "log.jsonl")
+        path.write_text(path.read_text().replace('"accuracy": 0.25', '"accuracy": null'))
+        with pytest.raises(ValueError, match="null in a required field"):
+            import_log_jsonl(path)
+
     def test_jsonl_import_skips_blank_lines(self, tmp_path):
         log = make_log([0.5, 0.25], resets={2})
         path = export_log(log, tmp_path / "log.jsonl")
