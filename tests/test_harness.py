@@ -343,7 +343,7 @@ class TestExport:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", ["lf_raw", "lam"])
     def test_jsonl_non_finite_float_names_its_row(self, column, bad):
-        rows = list(make_log([0.5, 0.25, 1.0], resets={2}).rows)
+        rows = make_rows([0.5, 0.25, 1.0], resets={2})
         rows[1] = dataclasses.replace(rows[1], **{column: bad})
         with pytest.raises(ValueError, match="non-finite value in the log row at t=2"):
             ExperimentLog("x", 0, rows=rows)
