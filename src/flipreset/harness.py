@@ -293,9 +293,10 @@ def run_experiment(
     loss = config.learner.adapt_loss
     state = FlipSignalState()
 
-    log = ExperimentLog(policy_name=policy_name, seed=seed, rows=LogColumns(schedule.horizon))
+    horizon = config.stream.horizon
+    log = ExperimentLog(policy_name=policy_name, seed=seed, rows=LogColumns(horizon))
     append = log.rows.append
-    for t in range(1, schedule.horizon + 1):
+    for t in range(1, horizon + 1):
         try:
             # the stream's and the downstream guards (softmax, confidence
             # bounds, EMA) raise ValueError once the numerics blow up
@@ -425,7 +426,14 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
         while chunk := list(islice(lines, _CHUNK)):
             # one decode per chunk of lines, transposed into columns, in
             # which numpy reads each null as NaN
-            rows = decode("[" + ",".join(chunk) + "]")
+            try:
+                rows = decode("[" + ",".join(chunk) + "]")
+            except json.JSONDecodeError:
+                rows = []
+            if len(rows) != len(chunk):
+                # one line is one row: decoding the lines one at a time raises
+                # at the first that is not exactly one JSON value
+                rows = list(map(decode, chunk))
             blocks.append(np.array(list(zip(*map(_json_values, rows))), dtype=float))
     columns = np.concatenate(blocks, axis=1)
     if np.isinf(columns).any():  # a number too large for a float

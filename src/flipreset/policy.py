@@ -15,7 +15,6 @@ running minimum faster than a threshold that shrinks as 1/sqrt(elapsed time).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,13 +223,6 @@ def blend_weights(
     return lam * theta_source + (1.0 - lam) * theta_prev
 
 
-def _at_preset_time(policy: RandomTiming, state: FlipSignalState, rise) -> bool:
-    # times is strictly increasing, so a binary search finds the step
-    times = policy.times
-    i = bisect_left(times, state.t)
-    return i < len(times) and times[i] == state.t
-
-
 def _adaptive_fires(policy: HardReset | BalancedReset, state: FlipSignalState, rise) -> bool:
     return _fires(state, rise, policy.trigger)
 
@@ -240,7 +232,7 @@ def _adaptive_fires(policy: HardReset | BalancedReset, state: FlipSignalState, r
 _RULES = {
     NoReset: ("no_reset", lambda p, st, rise: False, None),
     FixedInterval: ("fixed_interval", lambda p, st, rise: st.t >= 1 and st.t % p.period == 0, lambda p, st: 1.0),
-    RandomTiming: ("random_timing", _at_preset_time, lambda p, st: 1.0),
+    RandomTiming: ("random_timing", lambda p, st, rise: st.t in p.times, lambda p, st: 1.0),
     HardReset: ("hard_reset", _adaptive_fires, lambda p, st: 1.0),
     BalancedReset: (
         "abr", _adaptive_fires, lambda p, st: compute_lambda(st) if p.force_lambda is None else p.force_lambda

@@ -372,6 +372,18 @@ class TestExport:
         with pytest.raises(ValueError, match="non-finite value"):
             import_log_jsonl(path)
 
+    @pytest.mark.parametrize("joint", [", ", ",\n"], ids=["two rows on a line", "a row on two lines"])
+    def test_jsonl_import_reads_one_row_per_line(self, tmp_path, joint):
+        path = export_log(make_log([0.5, 0.25, 1.0]), tmp_path / "log.jsonl")
+        meta, *rows = path.read_text().splitlines()
+        if joint == ", ":
+            rows[:2] = [joint.join(rows[:2])]
+        else:
+            rows[1] = rows[1].replace(", ", joint, 1)
+        path.write_text("\n".join([meta, *rows]) + "\n")
+        with pytest.raises(json.JSONDecodeError):
+            import_log_jsonl(path)
+
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_jsonl_import_of_empty_file_rejected(self, tmp_path, text):
         path = tmp_path / "log.jsonl"
