@@ -3,7 +3,9 @@
 Every subcommand is a pure function of the config file and flags; output is
 deterministic for a fixed (config, seed). The only environment dependence is
 FLIPRESET_OUTDIR, which re-roots relative output paths. Exit codes: 0 success,
-1 config or usage error, 2 runtime abort (non-finite divergence).
+1 config or usage error, 2 numerical divergence (non-finite stream features,
+weights or predictions, or a non-finite pretraining loss or weights). Any
+other exception is a bug in the program and ends in a traceback.
 """
 
 from __future__ import annotations

@@ -66,6 +66,7 @@ _row_values = attrgetter(*_COLUMNS)
 _INTS = tuple(i for i, f in enumerate(fields(LogRow)) if f.type == "int")
 _NULLABLE = tuple(i for i, f in enumerate(fields(LogRow)) if f.type.endswith(" | None"))
 _REQUIRED = tuple(i for i in range(len(_COLUMNS)) if i not in _NULLABLE)
+_RESET = list(_COLUMNS).index("reset")
 # rows are built, formatted and parsed this many at a time, so that no pass
 # over a long log holds all of it as Python objects or text
 _CHUNK = 1024
@@ -124,8 +125,9 @@ class LogColumns(Sequence[LogRow]):
     @classmethod
     def from_rows(cls, rows: Sequence[LogRow]) -> LogColumns:
         """A store holding ``rows``; raises ValueError, naming the row's ``t``,
-        if a float in one is NaN or infinite, or a field that cannot be empty
-        is None."""
+        if a float in one is NaN or infinite, a field that cannot be empty is
+        None, an int field holds a bool or a non-integer, or ``reset`` is
+        neither 0 nor 1."""
         store = cls(len(rows))
         for row in rows:
             values = _row_values(row)
@@ -133,6 +135,10 @@ class LogColumns(Sequence[LogRow]):
                 raise ValueError(f"non-finite value in the log row at t={row.t}")
             if any(values[i] is None for i in _REQUIRED):
                 raise ValueError(f"empty required field in the log row at t={row.t}")
+            if not all(isinstance(values[i], (int, np.integer)) and type(values[i]) is not bool for i in _INTS):
+                raise ValueError(f"non-integer value in an integer field of the log row at t={row.t}")
+            if values[_RESET] not in (0, 1):
+                raise ValueError(f"reset other than 0 or 1 in the log row at t={row.t}")
             store.append(values)
         return store
 
@@ -279,8 +285,8 @@ def run_experiment(
     run its own pretraining: the run adapts a copy restarted at
     ``model.theta_source`` with zero velocity and leaves ``model`` unchanged.
 
-    Raises :class:`DivergenceError` (carrying the partial log and the failing
-    step) if the loss or parameters, or a batch of the stream, go non-finite.
+    Raises :class:`DivergenceError`, with the partial log and the failing
+    step, only if a stream batch, the weights or the predictions go non-finite.
     """
     policy = config.policy if policy is None else policy
     if policy_name is None:
@@ -296,20 +302,23 @@ def run_experiment(
     horizon = config.stream.horizon
     log = ExperimentLog(policy_name=policy_name, seed=seed, rows=LogColumns(horizon))
     append = log.rows.append
+
+    def diverged(t: int, what: str) -> DivergenceError:
+        log.aborted_at = t
+        return DivergenceError(f"non-finite {what}", step=t, log=log)
+
     for t in range(1, horizon + 1):
-        try:
-            # the stream's and the downstream guards (softmax, confidence
-            # bounds, EMA) raise ValueError once the numerics blow up
-            batch = sample_batch(schedule, t, source, config.batch_size)
-            prev_pred, curr_pred = adapt_batch(model, batch.features, loss)
-            if not np.isfinite(model.theta).all():
-                raise ValueError(f"non-finite parameters at step {t}")
-            accuracy = int(np.count_nonzero(curr_pred.classes == batch.labels)) / len(batch.labels)
-            raw = observe_batch(prev_pred, curr_pred, normalize=config.normalize_flip)
-            state.update_ema(raw)
-        except ValueError as exc:
-            log.aborted_at = t
-            raise DivergenceError(str(exc), step=t, log=log) from exc
+        batch = sample_batch(schedule, t, source, config.batch_size)
+        if not np.isfinite(batch.features).all():
+            raise diverged(t, "features")
+        prev_pred, curr_pred = adapt_batch(model, batch.features, loss)
+        if not np.isfinite(model.theta).all():
+            raise diverged(t, "parameters")
+        if not (np.isfinite(prev_pred.confidence).all() and np.isfinite(curr_pred.confidence).all()):
+            raise diverged(t, "predictions")
+        accuracy = int(np.count_nonzero(curr_pred.classes == batch.labels)) / len(batch.labels)
+        raw = observe_batch(prev_pred, curr_pred, normalize=config.normalize_flip)
+        state.update_ema(raw)
         state.update_min()
         # capture signal values before a reset clears them
         lf_ema, lf_min = state.lf_ema, state.lf_min
@@ -434,12 +443,19 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
                 # one line is one row: decoding the lines one at a time raises
                 # at the first that is not exactly one JSON value
                 rows = list(map(decode, chunk))
-            blocks.append(np.array(list(zip(*map(_json_values, rows))), dtype=float))
+            cols = list(zip(*map(_json_values, rows)))
+            # checked here, as the float columns would read true as 1.0 and a
+            # t of 1.5 back as 1; a null is reported as an empty required field
+            if any({*map(type, cols[i])} - {int, type(None)} for i in _INTS):
+                raise ValueError(f"{path}: non-integer value in an integer field of the log")
+            blocks.append(np.array(cols, dtype=float))
     columns = np.concatenate(blocks, axis=1)
     if np.isinf(columns).any():  # a number too large for a float
         raise ValueError(f"{path}: non-finite value in the log")
     if any(np.isnan(columns[i]).any() for i in _REQUIRED):
         raise ValueError(f"{path}: null in a required field of the log")
+    if ((columns[_RESET] != 0) & (columns[_RESET] != 1)).any():
+        raise ValueError(f"{path}: reset other than 0 or 1 in the log")
     return ExperimentLog(
         policy_name=meta["policy"],
         seed=int(meta["seed"]),

@@ -34,8 +34,8 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite loss or parameters. Carries the step index and, when the
-    failure happened mid-run, the partial log flushed so far."""
+    """Non-finite numbers in pretraining or in a run. Carries the step index
+    and, when the failure happened mid-run, the partial log flushed so far."""
 
     def __init__(self, message: str, step: int | None = None, log=None):
         super().__init__(message)
@@ -104,8 +104,7 @@ def softmax_forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     w, b = _unpack(theta, batch.shape[1])
     class_major = len(w) < 8
-    # logit overflow yields nan probabilities, which downstream finiteness
-    # guards report as divergence; no need for numpy to warn as well
+    # logit overflow gives nan probabilities, for the caller to report; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         if class_major:
             # w @ batch.T has the bits of batch @ w.T for few classes only:
@@ -276,7 +275,8 @@ def pretrain_source(
     argument for a negative ``epochs``, a ``holdout_fraction`` outside
     [0, 1) or one that leaves no training sample, ``labels`` that are not
     one per row of ``features``, and labels that are not integers in
-    [0, ``n_classes``).
+    [0, ``n_classes``); raises :class:`DivergenceError`, naming the 0-based
+    epoch, once the loss or the weights go non-finite.
     """
     features = _as_batch(features)
     labels = np.asarray(labels)
@@ -310,6 +310,8 @@ def pretrain_source(
             raise DivergenceError(f"pretraining loss non-finite at epoch {epoch}", step=epoch)
         p -= one_hot
         model.theta = model.theta - learning_rate * _theta_grad(p, x_train)
+        if not np.isfinite(model.theta).all():
+            raise DivergenceError(f"pretraining weights non-finite at epoch {epoch}", step=epoch)
 
     model.theta_source = _frozen_copy(model.theta)
     model.replace_weights(model.theta)

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flipreset import harness
 from flipreset.flip_signal import FlipSignalState
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -12,6 +13,19 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def planted_fault(monkeypatch):
+    """A ValueError that the run loop's flip score raises on every step, as
+    a shape or index bug in a step would."""
+    fault = ValueError("planted shape fault")
+
+    def observe_batch(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(harness, "observe_batch", observe_batch)
+    return fault
 
 
 def make_state(

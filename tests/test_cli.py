@@ -100,6 +100,13 @@ class TestExitCodes:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 6  # the five batches of the first domain
 
+    def test_a_fault_inside_a_step_does_not_exit_two(self, config_path, planted_fault, capsys):
+        # a fault of the program ends in a traceback, not in a divergence's exit code 2
+        with pytest.raises(ValueError) as excinfo:
+            main(["run", "--config", config_path, "--quiet"])
+        assert excinfo.value is planted_fault
+        assert "aborted" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "pretrain"])
     def test_negative_seed_override_rejected(self, command, config_path, capsys):
         assert main([command, "--config", config_path, "--seed", "-1"]) == 1

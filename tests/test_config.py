@@ -5,10 +5,12 @@ import copy
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flipreset.cli import main
 from flipreset.config import ConfigError, ExperimentConfig, config_from_dict
+from flipreset.harness import run_experiment
+from flipreset.learner import DivergenceError
 from flipreset.policy import POLICY_KINDS
 from flipreset.stream import CorruptionKind
 
@@ -32,6 +34,8 @@ MALFORMED = [
     (("learner",), {"loss": "rpl", "q": 1.5}, "q"),
     (("stream", "n_classes"), 1, "n_classes"),
     (("stream", "n_features"), 3, "n_features"),
+    # every class mean at the origin, and no mean_shift direction
+    (("stream", "class_separation"), 0.0, "class_separation"),
     (("stream", "num_domains"), 0, "num_domains"),
     (("policy",), {"kind": "hard_reset", "force_lambda": 0.5}, "force_lambda"),
     (("policy",), {"kind": "abr", "trigger": {"beta": 1e-6}}, "trigger"),
@@ -119,7 +123,8 @@ def obj(**keys):
 
 
 COUNTS = st.integers(-1, 40)
-NUMBERS = st.floats(-1.0, 5.0) | st.integers(-1, 5)
+# with values large and small enough to drive a run's numbers non-finite
+NUMBERS = st.floats(-1.0, 5.0) | st.integers(-1, 5) | st.sampled_from([1e-300, 1e300, -1e300])
 POLICY = obj(
     kind=st.sampled_from([*POLICY_KINDS, "other"]),
     period=COUNTS,
@@ -133,8 +138,9 @@ CONFIGS = obj(
         num_domains=COUNTS,
         batches_per_domain=COUNTS,
         transition=st.just("abrupt") | obj(kind=st.sampled_from(["abrupt", "linear"]), ramp_batches=COUNTS),
-        n_classes=st.integers(0, 6),
-        n_features=st.integers(0, 8),
+        # from 8 classes on, softmax_forward takes its row-major path
+        n_classes=st.integers(0, 9),
+        n_features=st.integers(0, 10),
         class_separation=NUMBERS,
         domains=st.lists(obj(kind=st.sampled_from(WORDS), severity=NUMBERS), max_size=3),
     ),
@@ -161,3 +167,33 @@ def test_any_json_object_is_a_config_or_a_config_error(d):
     except ConfigError:
         return
     assert isinstance(config, ExperimentConfig)
+
+
+def cut_to_two_batches(d: dict) -> dict:
+    """An accepted config ``d`` with its stream cut to one domain of two batches."""
+    stream = dict(d.get("stream", {}))
+    stream["batches_per_domain"] = 2
+    if stream.get("domains") is None:
+        stream["num_domains"] = 1
+    else:
+        stream["domains"] = stream["domains"][:1]
+    return {**d, "stream": stream}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@settings(max_examples=600, deadline=None)
+@given(CONFIGS)
+# pretraining's first step takes the weights to inf at a finite loss
+@example({"stream": {"class_separation": 1e300}, "learner": {"pretrain": {"learning_rate": 1e300, "epochs": 2}}})
+def test_any_accepted_config_runs_or_diverges(d):
+    try:
+        config_from_dict(d)
+        # a ramp or a reset time that the cut stream is too short for
+        config = config_from_dict(cut_to_two_batches(d))
+    except ConfigError:
+        return
+    try:
+        log = run_experiment(config, config.seeds[0])
+    except DivergenceError:
+        return
+    assert len(log.rows) == 2

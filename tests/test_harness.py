@@ -1,6 +1,7 @@
 """Experiment loop, logging, export formats and policy comparison."""
 
 import dataclasses
+import itertools
 import json
 import tracemalloc
 
@@ -138,6 +139,28 @@ class TestRunExperiment:
         assert err.log.aborted_at == err.step
         assert len(err.log.rows) == err.step - 1
         assert all(np.isfinite(r.accuracy) for r in err.log.rows)
+
+    def test_non_finite_predictions_abort_the_run(self, monkeypatch):
+        adapt_batch = harness.adapt_batch
+        steps = itertools.count(1)
+
+        def nan_at_step_3(model, batch, loss):
+            prev_pred, curr_pred = adapt_batch(model, batch, loss)
+            if next(steps) == 3:  # as logits that overflow for the previous-step weights alone give
+                prev_pred = dataclasses.replace(prev_pred, confidence=np.full_like(prev_pred.confidence, np.nan))
+            return prev_pred, curr_pred
+
+        monkeypatch.setattr(harness, "adapt_batch", nan_at_step_3)
+        with pytest.raises(DivergenceError, match="non-finite predictions") as excinfo:
+            run_experiment(small_config(), 0)
+        err = excinfo.value
+        assert err.step == err.log.aborted_at == 3
+        assert len(err.log.rows) == 2
+
+    def test_a_fault_inside_a_step_propagates_unchanged(self, planted_fault):
+        with pytest.raises(ValueError) as excinfo:
+            run_experiment(small_config(), 0)
+        assert excinfo.value is planted_fault
 
     def test_explicit_domains_override(self):
         cfg = small_config(
@@ -357,6 +380,39 @@ class TestExport:
         with pytest.raises(ValueError, match="null in a required field"):
             import_log_jsonl(path)
 
+    # (field, value, what the error names): a bool, a fraction or a float
+    # in an int field, and a reset that is not a flag
+    BAD_INTS = [
+        ("t", 1.5, "non-integer value in an integer field"),
+        ("domain", 0.9, "non-integer value in an integer field"),
+        ("reset", True, "non-integer value in an integer field"),
+        ("reset", 1.0, "non-integer value in an integer field"),
+        ("reset", 7, "reset other than 0 or 1"),
+        ("reset", -1, "reset other than 0 or 1"),
+    ]
+
+    @pytest.mark.parametrize(("column", "value", "named"), BAD_INTS)
+    def test_row_with_a_bad_int_field_is_rejected(self, column, value, named):
+        rows = make_rows([0.5, 0.25, 1.0])
+        rows[1] = dataclasses.replace(rows[1], **{column: value})
+        with pytest.raises(ValueError, match=f"{named} .*log row at t={rows[1].t}"):
+            ExperimentLog("x", 0, rows=rows)
+
+    @pytest.mark.parametrize(("column", "value", "named"), BAD_INTS)
+    def test_jsonl_import_rejects_a_bad_int_field(self, tmp_path, column, value, named):
+        path = export_log(make_log([0.5, 0.25, 1.0]), tmp_path / "log.jsonl")
+        meta, *rows = path.read_text().splitlines()
+        row = json.loads(rows[1])
+        row[column] = value
+        rows[1] = json.dumps(row)
+        path.write_text("\n".join([meta, *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"log.jsonl: {named}"):
+            import_log_jsonl(path)
+
+    def test_row_with_numpy_int_fields_is_accepted(self):
+        row = dataclasses.replace(make_rows([0.5])[0], t=np.int64(1), domain=np.int32(0), reset=np.int64(0))
+        assert ExperimentLog("x", 0, rows=[row]).rows == make_rows([0.5])
+
     def test_jsonl_import_skips_blank_lines(self, tmp_path):
         log = make_log([0.5, 0.25], resets={2})
         path = export_log(log, tmp_path / "log.jsonl")
@@ -450,6 +506,12 @@ class TestComparePolicies:
         assert summary.cells == {name: {0: failed, 1: failed} for name in policies}
         # the failed pretraining is not repeated for the seed's other cells
         assert calls == [0, 1]
+
+    def test_a_fault_inside_a_step_is_not_a_failed_cell(self, planted_fault):
+        cfg = dataclasses.replace(small_config(), policies={"a": NoReset(), "b": FixedInterval(period=5)})
+        with pytest.raises(ValueError) as excinfo:
+            compare_policies(cfg)
+        assert excinfo.value is planted_fault
 
     def test_needs_two_policies(self):
         cfg = small_config()

@@ -450,6 +450,16 @@ class TestPretrainSource:
             pretrain_source(features, labels, n_classes=2, epochs=3, learning_rate=1e30, rng=rng)
         assert excinfo.value.step == 1
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("epochs", [1, 3], ids=["last epoch", "epoch before another"])
+    def test_weights_overflowing_in_a_step_raise(self, rng, epochs):
+        # the loss is finite, but the first step takes the weights to inf,
+        # which the holdout or the next epoch would feed to softmax_forward
+        features, labels = two_gaussians(rng)
+        with pytest.raises(DivergenceError, match="pretraining weights non-finite at epoch 0") as excinfo:
+            pretrain_source(features * 1e300, labels, n_classes=2, epochs=epochs, learning_rate=1e300, rng=rng)
+        assert excinfo.value.step == 0
+
 
 class TestAdaptBatch:
     def test_zero_learning_rate_freezes_predictions(self, rng):
