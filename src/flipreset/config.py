@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .learner import AdaptLoss, EntropyMin, RobustPseudoLabel, holdout_count
 from .policy import POLICY_KINDS, NoReset, RandomTiming, ResetPolicy, TriggerConfig
-from .stream import CorruptionKind, Domain, DomainSchedule, SourceDistribution, Transition
+from .stream import MAX_HORIZON, CorruptionKind, Domain, DomainSchedule, SourceDistribution, Transition
 
 __all__ = [
     "ConfigError",
@@ -54,6 +54,8 @@ class StreamConfig:
             raise ValueError("num_domains must be >= 1")
         probe = (Domain(CorruptionKind.MEAN_SHIFT, 0.0),) if self.domains is None else self.domains[:1]
         DomainSchedule(probe, self.batches_per_domain, self.transition, seed=0)
+        if self.horizon > MAX_HORIZON:
+            raise ValueError(f"domains x batches_per_domain must be < 2**32 batches, got {self.horizon}")
 
     @property
     def horizon(self) -> int:

@@ -448,7 +448,18 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
             # t of 1.5 back as 1; a null is reported as an empty required field
             if any({*map(type, cols[i])} - {int, type(None)} for i in _INTS):
                 raise ValueError(f"{path}: non-integer value in an integer field of the log")
-            blocks.append(np.array(cols, dtype=float))
+            try:
+                block = np.array(cols, dtype=float)
+                # every integer below 2**53 in size is a float exactly; only a
+                # chunk with a larger number has its integers compared one by one
+                exact = not (np.abs(block) >= 2**53).any() or all(
+                    float(v) == v for col in cols for v in col if type(v) is int
+                )
+            except OverflowError:  # an integer past the largest float
+                exact = False
+            if not exact:
+                raise ValueError(f"{path}: integer that no float64 holds exactly in the log")
+            blocks.append(block)
     columns = np.concatenate(blocks, axis=1)
     if np.isinf(columns).any():  # a number too large for a float
         raise ValueError(f"{path}: non-finite value in the log")

@@ -170,10 +170,16 @@ def entropy_grad(theta: np.ndarray, batch: np.ndarray) -> np.ndarray:
     """
     batch = _as_batch(batch)
     p = softmax_forward(theta, batch)
-    # dH/dp then pull back through the softmax Jacobian
-    p_eps = p + EPS
-    v = -(np.log(p_eps) + p / p_eps)
-    return _theta_grad(p * (v - (v * p).sum(axis=1, keepdims=True)), batch)
+    # dH/dp, v = -(log(p + EPS) + p / (p + EPS)), then pull back through
+    # the softmax Jacobian, p * (v - sum(v * p)); built in place, bit for bit
+    v = p + EPS
+    ratio = p / v
+    np.log(v, out=v)
+    v += ratio
+    np.negative(v, out=v)
+    v -= (v * p).sum(axis=1, keepdims=True)
+    v *= p
+    return _theta_grad(v, batch)
 
 
 def rpl_loss(theta: np.ndarray, batch: np.ndarray, labels: np.ndarray, q: float) -> float:

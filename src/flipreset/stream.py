@@ -4,17 +4,22 @@ Clean samples come from a fixed source distribution (class-conditional unit
 Gaussians with separated means); each domain in a schedule overlays one
 feature-space corruption. Batches are a pure function of (schedule seed,
 batch index), so every policy replays a bit-identical stream and batches can
-be generated in parallel.
+be generated in parallel. Batch t draws from the generator that
+``np.random.default_rng([seed, 1, t])`` would give, seeded from a table that
+hashes every batch's seed of a schedule at once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "CorruptionKind",
@@ -22,6 +27,7 @@ __all__ = [
     "Transition",
     "SourceDistribution",
     "DomainSchedule",
+    "MAX_HORIZON",
     "LabeledBatch",
     "make_schedule",
     "apply_corruption",
@@ -31,6 +37,16 @@ __all__ = [
 # rng stream channels: schedule generation / per-batch sampling
 _SCHEDULE_CHANNEL = 0
 _BATCH_CHANNEL = 1
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): its pool size and
+# hash constants, all 32-bit words
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# a batch index is one 32-bit word of its batch's seed
+MAX_HORIZON = _MASK32
 
 
 class CorruptionKind(str, Enum):
@@ -129,10 +145,21 @@ class DomainSchedule:
             raise ValueError("batches_per_domain must be >= 1")
         if self.transition.kind == "linear" and self.transition.ramp_batches >= self.batches_per_domain:
             raise ValueError("ramp_batches must be < batches_per_domain")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.horizon > MAX_HORIZON:
+            raise ValueError(f"horizon must be < 2**32 batches, got {self.horizon}")
 
     @property
     def horizon(self) -> int:
         return len(self.domains) * self.batches_per_domain
+
+    @cached_property
+    def seed_table(self) -> np.ndarray:
+        """Read-only (horizon, 4) uint64 table whose row ``t - 1`` is
+        ``np.random.SeedSequence([seed, 1, t]).generate_state(4, np.uint64)``,
+        the state that seeds batch t's generator. Built on first use."""
+        return _seed_table(self.seed, self.horizon)
 
     def domain_index_at(self, t: int) -> int:
         """Domain owning 1-based batch index t."""
@@ -171,6 +198,76 @@ class LabeledBatch:
     def __post_init__(self) -> None:
         if len(self.features) != len(self.labels):
             raise ValueError("features/labels length mismatch")
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """Consecutive pairs of the 32-bit sequence ``init, init * mult, ...``."""
+    c = init
+    while True:
+        nxt = c * mult & _MASK32
+        yield c, nxt
+        c = nxt
+
+
+def _hash(words: np.ndarray, constants: Iterator[tuple[int, int]]) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 words, with the next hash constants."""
+    xor, mult = next(constants)
+    out = words ^ xor
+    out *= mult  # uint32 arrays wrap silently, as the C arithmetic does
+    out ^= out >> 16
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    out ^= out >> 16
+    return out
+
+
+def _seed_table(seed: int, horizon: int) -> np.ndarray:
+    """SeedSequence([seed, 1, t]).generate_state(4, np.uint64) for t = 1..horizon,
+    one row per t, computed for every t at once in uint32 arithmetic.
+
+    The entropy is the seed's 32-bit words, least significant first, then
+    1 and t; a seed of three or more words mixes the words past the pool
+    into it in extra rounds.
+    """
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    entropy = [np.array([w], dtype=np.uint32) for w in (*words, _BATCH_CHANNEL)]
+    entropy.append(np.arange(1, horizon + 1, dtype=np.uint32))
+    a = _hash_constants(_INIT_A, _MULT_A)
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [_hash(entropy[i] if i < len(entropy) else zero, a) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], a))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, a))
+    # each uint64 of the state is two uint32 words, the first one low
+    table = np.empty((horizon, 4), dtype="<u8")
+    state = table.view("<u4")
+    b = _hash_constants(_INIT_B, _MULT_B)
+    for i in range(state.shape[1]):
+        state[:, i] = _hash(pool[i % _POOL_SIZE], b)
+    table = table.astype(np.uint64, copy=False)  # no copy on a little-endian host
+    table.setflags(write=False)
+    return table
+
+
+class _SeedRow(ISeedSequence):
+    """A seed table row, as the seed sequence that PCG64 asks for its state."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError(f"a seed row holds 4 uint64 words, not {n_words} of {dtype}")
+        return self.state
 
 
 def make_schedule(num_domains: int, batches_per_domain: int, transition: Transition, seed: int) -> DomainSchedule:
@@ -234,7 +331,8 @@ def sample_batch(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     domain_index = schedule.domain_index_at(t)
-    rng = np.random.default_rng([schedule.seed, _BATCH_CHANNEL, t])
+    # the generator default_rng([seed, _BATCH_CHANNEL, t]) gives, without hashing its seed again
+    rng = Generator(PCG64(_SeedRow(schedule.seed_table[t - 1])))
     features, labels = source.sample(batch_size, rng)
     for kind, severity in schedule.active_corruptions(t):
         features = apply_corruption(features, kind, severity, rng, source)

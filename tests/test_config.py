@@ -37,6 +37,8 @@ MALFORMED = [
     # every class mean at the origin, and no mean_shift direction
     (("stream", "class_separation"), 0.0, "class_separation"),
     (("stream", "num_domains"), 0, "num_domains"),
+    # 2 domains: 2**32 batches, one more index than a batch seed's 32-bit word holds
+    (("stream", "batches_per_domain"), 2**31, "domains x batches_per_domain must be < 2**32"),
     (("policy",), {"kind": "hard_reset", "force_lambda": 0.5}, "force_lambda"),
     (("policy",), {"kind": "abr", "trigger": {"beta": 1e-6}}, "trigger"),
     (("policy",), {"kind": "reset_sometimes"}, "kind"),

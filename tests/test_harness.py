@@ -409,6 +409,29 @@ class TestExport:
         with pytest.raises(ValueError, match=f"log.jsonl: {named}"):
             import_log_jsonl(path)
 
+    # a JSON integer past the float range, and one past 2**53 that a float would round
+    @pytest.mark.parametrize(
+        ("column", "value"),
+        [("t", 10**400), ("accuracy", 10**400), ("t", 2**53 + 1)],
+        ids=["t past the float range", "accuracy past the float range", "t of 2**53 + 1"],
+    )
+    def test_jsonl_import_rejects_an_integer_no_float_holds(self, tmp_path, column, value):
+        path = export_log(make_log([0.5, 0.25, 1.0]), tmp_path / "log.jsonl")
+        meta, *rows = path.read_text().splitlines()
+        row = json.loads(rows[1])
+        row[column] = value
+        rows[1] = json.dumps(row)
+        path.write_text("\n".join([meta, *rows]) + "\n")
+        with pytest.raises(ValueError, match="log.jsonl: integer that no float64 holds exactly"):
+            import_log_jsonl(path)
+
+    def test_jsonl_import_keeps_large_integers_that_floats_hold(self, tmp_path):
+        path = export_log(make_log([0.5, 0.25]), tmp_path / "log.jsonl")
+        text = path.read_text().replace('"t": 2', f'"t": {2**53}').replace('"accuracy": 0.25', f'"accuracy": {2**60}')
+        path.write_text(text)
+        row = import_log_jsonl(path).rows[1]
+        assert (row.t, row.accuracy) == (2**53, 2.0**60)
+
     def test_row_with_numpy_int_fields_is_accepted(self):
         row = dataclasses.replace(make_rows([0.5])[0], t=np.int64(1), domain=np.int32(0), reset=np.int64(0))
         assert ExperimentLog("x", 0, rows=[row]).rows == make_rows([0.5])

@@ -1,6 +1,8 @@
 """Drifting stream generation: schedules, corruptions, determinism."""
 
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -95,6 +97,67 @@ class TestSampleBatch:
     def test_domain_index_recorded(self):
         sched = make_schedule(3, 4, Transition(), seed=0)
         assert [sample_batch(sched, t, SOURCE, 4).domain_index for t in (1, 4, 5, 12)] == [0, 0, 1, 2]
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fail the block with TimeoutError, instead of hanging, after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# uint32 wraparound in a numpy scalar warns; the table's arithmetic must not
+@pytest.mark.filterwarnings("error")
+class TestSeedTable:
+    # seeds of one, two and three 32-bit words; three words overflow the pool
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 2**32 + 5])
+    def test_rows_are_seed_sequence_states(self, seed):
+        sched = make_schedule(3, 1000, Transition(), seed=seed)
+        table = sched.seed_table
+        expected = [np.random.SeedSequence([seed, 1, t]).generate_state(4, np.uint64) for t in range(1, 3001)]
+        assert table.dtype == np.uint64 and table.shape == (3000, 4)
+        assert np.array_equal(table, expected)
+        assert sched.seed_table is table and not table.flags.writeable
+
+    def test_batches_equal_default_rng_batches(self):
+        kinds = list(CorruptionKind)
+        sched = DomainSchedule(
+            domains=tuple(Domain(kind, 0.5 + i) for i, kind in enumerate(kinds + kinds[:1])),
+            batches_per_domain=6,
+            transition=Transition("linear", 3),
+            seed=2**40 + 3,
+        )
+        active = {kind for t in range(1, sched.horizon + 1) for kind, _ in sched.active_corruptions(t)}
+        assert active == set(kinds)
+        for t in range(1, sched.horizon + 1):
+            batch = sample_batch(sched, t, SOURCE, 16)
+            rng = np.random.default_rng([sched.seed, 1, t])
+            features, labels = SOURCE.sample(16, rng)
+            for kind, severity in sched.active_corruptions(t):
+                features = apply_corruption(features, kind, severity, rng, SOURCE)
+            assert batch.features.tobytes() == features.tobytes()
+            assert batch.labels.tobytes() == labels.tobytes()
+
+    def test_negative_seed_rejected(self):
+        with deadline(10), pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            DomainSchedule((Domain(CorruptionKind.MEAN_SHIFT, 1.0),), 5, Transition(), seed=-1)
+
+    def test_horizon_past_one_32_bit_word_rejected(self):
+        domain = Domain(CorruptionKind.MEAN_SHIFT, 1.0)
+        with deadline(10):
+            # the table is never built here: it would hold 32 bytes per batch
+            assert DomainSchedule((domain,), 2**32 - 1, Transition(), seed=0).horizon == 2**32 - 1
+            with pytest.raises(ValueError, match="horizon must be < 2\\*\\*32 batches"):
+                DomainSchedule((domain, domain), 2**31, Transition(), seed=0)
 
 
 class TestCorruptions:
