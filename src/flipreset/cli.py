@@ -1,4 +1,8 @@
-"""Command-line interface: pretrain, run, compare.
+"""Command-line interface: run, compare.
+
+``run`` adapts the config's first seed and reports its source model's
+holdout accuracy with the run's summary; ``compare`` runs every policy on
+every seed.
 
 Every subcommand is a pure function of the config file and flags; output is
 deterministic for a fixed (config, seed). The only environment dependence is
@@ -15,8 +19,6 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .harness import LOG_FORMATS, build_model, compare_policies, export_log, run_experiment
@@ -47,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true", help="suppress normal output")
         return p
 
-    add("pretrain", "train the source classifier and report holdout accuracy")
     add("run", "run one experiment; write the per-step log (CSV or JSON-lines, by --out's suffix)")
     add("compare", "run every configured policy across seeds; print a summary table")
     return parser
@@ -76,29 +77,15 @@ def _prepare_out(out: str | None) -> None:
         raise ConfigError(f"--out {out!r}: cannot create its directory: {exc}") from exc
 
 
-def _cmd_pretrain(config: ExperimentConfig, args) -> int:
-    _prepare_out(args.out)
-    seed = config.seeds[0]
-    model, holdout = build_model(config, seed)
-    if args.out:
-        # savez appends ".npz" to a path but writes a file handle as given
-        with open(args.out, "wb") as fh:
-            np.savez(fh, theta=model.theta, n_classes=model.n_classes, n_features=model.n_features)
-    if not args.quiet:
-        print(f"seed={seed} holdout_accuracy={holdout:.4f}")
-        if args.out:
-            print(f"weights written to {args.out}")
-    return 0
-
-
 def _cmd_run(config: ExperimentConfig, args) -> int:
     out = args.out
     if out and Path(out).suffix.lower() not in LOG_FORMATS:
         raise ConfigError(f"--out must end in {' or '.join(LOG_FORMATS)}, got {out!r}")
     _prepare_out(out)
     seed = config.seeds[0]
+    model, holdout = build_model(config, seed)
     try:
-        log = run_experiment(config, seed)
+        log = run_experiment(config, seed, model=model)
     except DivergenceError as exc:
         if out and exc.log is not None:
             export_log(exc.log, out)
@@ -107,7 +94,7 @@ def _cmd_run(config: ExperimentConfig, args) -> int:
         export_log(log, out)
     if not args.quiet:
         print(
-            f"policy={log.policy_name} seed={seed} steps={len(log.rows)} "
+            f"policy={log.policy_name} seed={seed} steps={len(log.rows)} holdout_acc={holdout:.4f} "
             "mean_acc={mean_accuracy:.4f} final_acc={final_accuracy:.4f} "
             "resets={reset_count}".format(**log.summary())
         )
@@ -132,7 +119,6 @@ def _cmd_compare(config: ExperimentConfig, args) -> int:
 
 
 _COMMANDS = {
-    "pretrain": _cmd_pretrain,
     "run": _cmd_run,
     "compare": _cmd_compare,
 }

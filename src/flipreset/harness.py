@@ -13,7 +13,7 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -90,6 +90,15 @@ _JSON_TEXT = ("{" + ", ".join(map('"{}": {}'.format, _COLUMNS.values(), _cells("
 _json_values = itemgetter(*_COLUMNS.values())
 
 
+def _exact_in_float64(values) -> bool:
+    """Whether a float64 holds every integer among ``values`` exactly: none
+    lies past the largest float, and none past 2**53 in size is rounded."""
+    try:
+        return all(float(v) == int(v) for v in values if isinstance(v, (int, np.integer)))
+    except OverflowError:
+        return False
+
+
 def _rows(block: np.ndarray) -> list[LogRow]:
     """The rows of a block of columns, as built-in values."""
     cols = block.tolist()
@@ -125,12 +134,14 @@ class LogColumns(Sequence[LogRow]):
     @classmethod
     def from_rows(cls, rows: Sequence[LogRow]) -> LogColumns:
         """A store holding ``rows``; raises ValueError, naming the row's ``t``,
-        if a float in one is NaN or infinite, a field that cannot be empty is
-        None, an int field holds a bool or a non-integer, or ``reset`` is
-        neither 0 nor 1."""
+        if one holds an integer that no float64 holds exactly, a float in one
+        is NaN or infinite, a field that cannot be empty is None, an int field
+        holds a bool or a non-integer, or ``reset`` is neither 0 nor 1."""
         store = cls(len(rows))
         for row in rows:
             values = _row_values(row)
+            if not _exact_in_float64(values):
+                raise ValueError(f"integer that no float64 holds exactly in the log row at t={row.t}")
             if not all(v is None or math.isfinite(v) for v in values):
                 raise ValueError(f"non-finite value in the log row at t={row.t}")
             if any(values[i] is None for i in _REQUIRED):
@@ -452,9 +463,7 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
                 block = np.array(cols, dtype=float)
                 # every integer below 2**53 in size is a float exactly; only a
                 # chunk with a larger number has its integers compared one by one
-                exact = not (np.abs(block) >= 2**53).any() or all(
-                    float(v) == v for col in cols for v in col if type(v) is int
-                )
+                exact = not (np.abs(block) >= 2**53).any() or _exact_in_float64(chain.from_iterable(cols))
             except OverflowError:  # an integer past the largest float
                 exact = False
             if not exact:

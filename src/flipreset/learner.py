@@ -218,8 +218,6 @@ class ModelState:
     the previous-step snapshot, and SGD-with-momentum optimizer state. A new
     model, ``dataclasses.replace``'s too, starts as :meth:`replace_weights` leaves it."""
 
-    n_classes: int
-    n_features: int
     theta: np.ndarray
     theta_source: np.ndarray
     learning_rate: float = 0.05
@@ -242,7 +240,7 @@ class ModelState:
         momentum: float = 0.9,
     ) -> "ModelState":
         theta = 0.01 * rng.standard_normal(n_classes * (n_features + 1))
-        return cls(n_classes, n_features, theta, _frozen_copy(theta), learning_rate, momentum)
+        return cls(theta, _frozen_copy(theta), learning_rate, momentum)
 
     def replace_weights(self, theta: np.ndarray) -> None:
         """Install re-initialized weights: the previous-step snapshot follows

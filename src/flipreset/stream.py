@@ -104,9 +104,9 @@ class SourceDistribution:
     def __post_init__(self) -> None:
         if self.n_classes < 2 or self.n_features < self.n_classes:
             raise ValueError("need >= 2 classes and n_features >= n_classes")
-        if self.class_separation == 0:
-            # every class mean would be the origin, and shift_direction 0/0
-            raise ValueError("class_separation must be non-zero")
+        # at 0 the direction is 0/0, and below about 1e-162 its norm underflows to 0
+        if not np.isfinite(self.shift_direction).all():
+            raise ValueError(f"class_separation {self.class_separation!r} leaves no finite mean_shift direction")
 
     @cached_property
     def means(self) -> np.ndarray:
@@ -121,7 +121,8 @@ class SourceDistribution:
         """Unit vector from class 0's mean toward class 1's, i.e. across a
         decision boundary; built once and read-only."""
         d = self.means[1] - self.means[0]
-        d = d / np.linalg.norm(d)
+        with np.errstate(all="ignore"):
+            d = d / np.linalg.norm(d)
         d.setflags(write=False)
         return d
 

@@ -2,12 +2,12 @@
 
 import json
 
-import numpy as np
 import pytest
 
-from flipreset import cli
+from flipreset import cli, harness
 from flipreset.cli import main
-from flipreset.harness import CSV_HEADER, import_log_jsonl
+from flipreset.config import load_config
+from flipreset.harness import CSV_HEADER, build_model, import_log_jsonl
 
 SMALL = {
     "stream": {"num_domains": 4, "batches_per_domain": 25},
@@ -107,7 +107,7 @@ class TestExitCodes:
         assert excinfo.value is planted_fault
         assert "aborted" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "pretrain"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
     def test_negative_seed_override_rejected(self, command, config_path, capsys):
         assert main([command, "--config", config_path, "--seed", "-1"]) == 1
         err = capsys.readouterr().err
@@ -115,7 +115,7 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.parametrize("command", ["run", "pretrain"])
+    @pytest.mark.parametrize("command", ["run"])
     def test_pretraining_divergence_names_epoch(self, command, tmp_path, capsys):
         cfg = dict(SMALL)
         cfg["learner"] = {"pretrain": {"samples_per_class": 100, "epochs": 60, "learning_rate": 1e308}}
@@ -150,6 +150,23 @@ class TestRun:
         main(["run", "--config", config_path, "--out", str(a), "--quiet"])
         main(["run", "--config", config_path, "--out", str(b), "--quiet"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_reports_the_source_holdout_accuracy(self, config_path, capsys):
+        assert main(["run", "--config", config_path]) == 0
+        _, holdout = build_model(load_config(config_path), 0)
+        assert f" holdout_acc={holdout:.4f} " in capsys.readouterr().out
+
+    def test_pretrains_once(self, config_path, monkeypatch, capsys):
+        calls = []
+
+        def counted(config, seed):
+            calls.append(seed)
+            return build_model(config, seed)
+
+        monkeypatch.setattr(cli, "build_model", counted)
+        monkeypatch.setattr(harness, "build_model", counted)
+        assert main(["run", "--config", config_path, "--seed", "1", "--quiet"]) == 0
+        assert calls == [1]
 
     def test_quiet_suppresses_stdout(self, config_path, capsys):
         assert main(["run", "--config", config_path, "--quiet"]) == 0
@@ -198,10 +215,13 @@ class TestExportAndPretrain:
         assert main(["run", "--config", config_path, "--out", str(out)]) == 1
         assert "--out must end in .csv or .jsonl" in capsys.readouterr().err
         assert runs == [] and not out.exists()
-        assert main(["export", "--config", config_path, "--out", "x.csv"]) == 1
-        assert "export" in capsys.readouterr().err
+        # removed subcommands: run writes the log, and reports the source model's holdout accuracy
+        for removed in ("export", "pretrain"):
+            assert main([removed, "--config", config_path, "--out", "x.csv"]) == 1
+            err = capsys.readouterr().err
+            assert removed in err and "Traceback" not in err
 
-    @pytest.mark.parametrize(("command", "name"), [("pretrain", "w.npz"), ("run", "log.csv"), ("compare", "table.txt")])
+    @pytest.mark.parametrize(("command", "name"), [("run", "log.csv"), ("compare", "table.txt")])
     def test_unwritable_out_rejected_before_any_work(self, command, name, config_path, tmp_path, monkeypatch, capsys):
         def never(*args, **kwargs):
             raise AssertionError("the work started before --out was checked")
@@ -215,22 +235,6 @@ class TestExportAndPretrain:
         for out in (afile / name, tmp_path / name):
             assert main([command, "--config", config_path, "--out", str(out)]) == 1
             assert f"--out {str(out)!r}" in capsys.readouterr().err
-
-    def test_pretrain_reports_holdout_and_saves(self, config_path, tmp_path, capsys):
-        out = tmp_path / "weights.npz"
-        assert main(["pretrain", "--config", config_path, "--out", str(out)]) == 0
-        stdout = capsys.readouterr().out
-        assert "holdout_accuracy=" in stdout
-        data = np.load(out)
-        assert data["theta"].shape == (4 * 17,)
-        assert int(data["n_classes"]) == 4
-
-    def test_pretrain_writes_exactly_out(self, config_path, tmp_path, capsys):
-        out = tmp_path / "w.bin"
-        assert main(["pretrain", "--config", config_path, "--out", str(out)]) == 0
-        assert f"weights written to {out}" in capsys.readouterr().out
-        assert not (tmp_path / "w.bin.npz").exists()
-        assert np.load(out)["theta"].shape == (4 * 17,)
 
 
 class TestOutputDirOverride:
@@ -248,7 +252,7 @@ class TestOutputDirOverride:
 
     @pytest.mark.parametrize(
         ("command", "name"),
-        [("pretrain", "w.npz"), ("run", "log.csv"), ("compare", "table.txt")],
+        [("run", "log.csv"), ("compare", "table.txt")],
     )
     def test_every_command_reroots_out(self, config_path, tmp_path, monkeypatch, command, name):
         monkeypatch.chdir(tmp_path)

@@ -36,6 +36,8 @@ MALFORMED = [
     (("stream", "n_features"), 3, "n_features"),
     # every class mean at the origin, and no mean_shift direction
     (("stream", "class_separation"), 0.0, "class_separation"),
+    # the means' distance underflows to 0, so the direction is not finite either
+    (("stream", "class_separation"), 1e-170, "class_separation 1e-170"),
     (("stream", "num_domains"), 0, "num_domains"),
     # 2 domains: 2**32 batches, one more index than a batch seed's 32-bit word holds
     (("stream", "batches_per_domain"), 2**31, "domains x batches_per_domain must be < 2**32"),

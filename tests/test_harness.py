@@ -409,12 +409,21 @@ class TestExport:
         with pytest.raises(ValueError, match=f"log.jsonl: {named}"):
             import_log_jsonl(path)
 
-    # a JSON integer past the float range, and one past 2**53 that a float would round
-    @pytest.mark.parametrize(
+    # an integer past the float range, and one past 2**53 that a float would round
+    NO_FLOAT_HOLDS = pytest.mark.parametrize(
         ("column", "value"),
         [("t", 10**400), ("accuracy", 10**400), ("t", 2**53 + 1)],
         ids=["t past the float range", "accuracy past the float range", "t of 2**53 + 1"],
     )
+
+    @NO_FLOAT_HOLDS
+    def test_row_with_an_integer_no_float_holds_is_rejected(self, column, value):
+        rows = make_rows([0.5, 0.25, 1.0])
+        rows[1] = dataclasses.replace(rows[1], **{column: value})
+        with pytest.raises(ValueError, match=f"integer that no float64 holds exactly in the log row at t={rows[1].t}"):
+            ExperimentLog("x", 0, rows=rows)
+
+    @NO_FLOAT_HOLDS
     def test_jsonl_import_rejects_an_integer_no_float_holds(self, tmp_path, column, value):
         path = export_log(make_log([0.5, 0.25, 1.0]), tmp_path / "log.jsonl")
         meta, *rows = path.read_text().splitlines()

@@ -550,6 +550,6 @@ class TestModelStateStart:
     def test_snapshot_and_velocity_are_not_arguments(self, rng):
         theta = rng.normal(0, 1, 3 * 5)
         with pytest.raises(TypeError):
-            ModelState(3, 4, theta, theta.copy(), theta_prev_snapshot=theta.copy())
+            ModelState(theta, theta.copy(), theta_prev_snapshot=theta.copy())
         with pytest.raises(TypeError):
-            ModelState(3, 4, theta, theta.copy(), velocity=np.zeros_like(theta))
+            ModelState(theta, theta.copy(), velocity=np.zeros_like(theta))
