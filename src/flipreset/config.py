@@ -11,10 +11,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .learner import AdaptLoss, EntropyMin, RobustPseudoLabel, holdout_count
 from .policy import POLICY_KINDS, NoReset, RandomTiming, ResetPolicy, TriggerConfig
@@ -157,10 +158,19 @@ def _list(value, where: str) -> list:
     return value
 
 
+def exact_in_float64(values) -> bool:
+    """Whether a float64 holds every integer among ``values`` exactly: none
+    lies past the largest float, and none past 2**53 in size is rounded."""
+    try:
+        return all(float(v) == int(v) for v in values if isinstance(v, (int, np.integer)))
+    except OverflowError:
+        return False
+
+
 def _typed(value, annotation: str, where: str):
     """``value`` if it has the JSON type that a field's ``annotation`` names;
     a ``tuple[T, ...]`` is a JSON list of T, and a JSON integer in a float
-    field becomes that float."""
+    field becomes that float if a float64 holds it exactly."""
     if value is None and annotation.endswith(" | None"):
         return None
     annotation = annotation.removesuffix(" | None")
@@ -169,7 +179,9 @@ def _typed(value, annotation: str, where: str):
         return tuple(_typed(x, item, f"{where}[{i}]") for i, x in enumerate(_list(value, where)))
     want, name = _JSON_TYPES[annotation]
     if want is float and type(value) is int:
-        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+        if not exact_in_float64((value,)):
+            raise ConfigError(f"{where} must be a number that a float64 holds exactly, got {value}")
+        value = float(value)
     if type(value) is not want or (want is float and not math.isfinite(value)):
         raise ConfigError(f"{where} must be {name}, got {value!r}")
     return value
@@ -268,6 +280,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer past Python's digit limit
+        raise ConfigError(f"config file {path} is not readable JSON: {exc}") from exc
     return config_from_dict(data)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, exact_in_float64
 from .flip_signal import FlipSignalState, observe_batch
 from .learner import DivergenceError, ModelState, adapt_batch, pretrain_source
 from .policy import ResetPolicy, policy_name as _policy_label, policy_step
@@ -90,15 +90,6 @@ _JSON_TEXT = ("{" + ", ".join(map('"{}": {}'.format, _COLUMNS.values(), _cells("
 _json_values = itemgetter(*_COLUMNS.values())
 
 
-def _exact_in_float64(values) -> bool:
-    """Whether a float64 holds every integer among ``values`` exactly: none
-    lies past the largest float, and none past 2**53 in size is rounded."""
-    try:
-        return all(float(v) == int(v) for v in values if isinstance(v, (int, np.integer)))
-    except OverflowError:
-        return False
-
-
 def _rows(block: np.ndarray) -> list[LogRow]:
     """The rows of a block of columns, as built-in values."""
     cols = block.tolist()
@@ -140,7 +131,7 @@ class LogColumns(Sequence[LogRow]):
         store = cls(len(rows))
         for row in rows:
             values = _row_values(row)
-            if not _exact_in_float64(values):
+            if not exact_in_float64(values):
                 raise ValueError(f"integer that no float64 holds exactly in the log row at t={row.t}")
             if not all(v is None or math.isfinite(v) for v in values):
                 raise ValueError(f"non-finite value in the log row at t={row.t}")
@@ -262,13 +253,12 @@ def build_schedule(config: ExperimentConfig, seed: int) -> DomainSchedule:
 
 
 def build_model(config: ExperimentConfig, seed: int) -> tuple[ModelState, float]:
-    """Pretrain the source classifier for one seed, with the config's
-    adaptation learning rate and momentum; returns (model, holdout accuracy)."""
+    """Pretrain the source classifier for one seed; returns (model, holdout accuracy)."""
     source = config.stream.source
     rng = np.random.default_rng([seed, _LEARNER_CHANNEL])
     pre = config.learner.pretrain
     features, labels = source.sample(pre.samples_per_class * source.n_classes, rng)
-    model, holdout = pretrain_source(
+    return pretrain_source(
         features,
         labels,
         n_classes=source.n_classes,
@@ -277,8 +267,6 @@ def build_model(config: ExperimentConfig, seed: int) -> tuple[ModelState, float]
         rng=rng,
         holdout_fraction=pre.holdout_fraction,
     )
-    learner = config.learner
-    return replace(model, learning_rate=learner.learning_rate, momentum=learner.momentum), holdout
 
 
 def run_experiment(
@@ -295,6 +283,8 @@ def run_experiment(
     ``model``, the seed's source model from :func:`build_model`, saves the
     run its own pretraining: the run adapts a copy restarted at
     ``model.theta_source`` with zero velocity and leaves ``model`` unchanged.
+    Whatever the model, the run adapts with ``config.learner``'s learning
+    rate and momentum.
 
     Raises :class:`DivergenceError`, with the partial log and the failing
     step, only if a stream batch, the weights or the predictions go non-finite.
@@ -307,7 +297,8 @@ def run_experiment(
         model, _ = build_model(config, seed)
     model = replace(model, theta=model.theta_source)
     schedule = build_schedule(config, seed)
-    loss = config.learner.adapt_loss
+    learner = config.learner
+    loss, learning_rate, momentum = learner.adapt_loss, learner.learning_rate, learner.momentum
     state = FlipSignalState()
 
     horizon = config.stream.horizon
@@ -322,7 +313,7 @@ def run_experiment(
         batch = sample_batch(schedule, t, source, config.batch_size)
         if not np.isfinite(batch.features).all():
             raise diverged(t, "features")
-        prev_pred, curr_pred = adapt_batch(model, batch.features, loss)
+        prev_pred, curr_pred = adapt_batch(model, batch.features, loss, learning_rate, momentum)
         if not np.isfinite(model.theta).all():
             raise diverged(t, "parameters")
         if not (np.isfinite(prev_pred.confidence).all() and np.isfinite(curr_pred.confidence).all()):
@@ -463,7 +454,7 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
                 block = np.array(cols, dtype=float)
                 # every integer below 2**53 in size is a float exactly; only a
                 # chunk with a larger number has its integers compared one by one
-                exact = not (np.abs(block) >= 2**53).any() or _exact_in_float64(chain.from_iterable(cols))
+                exact = not (np.abs(block) >= 2**53).any() or exact_in_float64(chain.from_iterable(cols))
             except OverflowError:  # an integer past the largest float
                 exact = False
             if not exact:

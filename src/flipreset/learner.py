@@ -61,7 +61,7 @@ class RobustPseudoLabel:
     """Adapt on self-assigned argmax labels with a generalized cross-entropy
     loss ``(1 - p^q) / q``; ``q -> 1`` recovers ``1 - p``."""
 
-    q: float = 0.8
+    q: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.q <= 1.0:
@@ -189,7 +189,7 @@ def rpl_loss(theta: np.ndarray, batch: np.ndarray, labels: np.ndarray, q: float)
     return float(np.mean((1.0 - p_label**q) / q))
 
 
-def rpl_grad(theta: np.ndarray, batch: np.ndarray, q: float = 0.8) -> np.ndarray:
+def rpl_grad(theta: np.ndarray, batch: np.ndarray, q: float) -> np.ndarray:
     """Gradient of :func:`rpl_loss` on the model's own argmax pseudo-labels.
 
     The pseudo-labels are recomputed from theta, then treated as constants
@@ -215,13 +215,11 @@ def _frozen_copy(theta: np.ndarray) -> np.ndarray:
 @dataclass
 class ModelState:
     """Adaptable classifier: current weights, the frozen source snapshot,
-    the previous-step snapshot, and SGD-with-momentum optimizer state. A new
-    model, ``dataclasses.replace``'s too, starts as :meth:`replace_weights` leaves it."""
+    the previous-step snapshot, and the SGD momentum velocity. A new model,
+    ``dataclasses.replace``'s too, starts as :meth:`replace_weights` leaves it."""
 
     theta: np.ndarray
     theta_source: np.ndarray
-    learning_rate: float = 0.05
-    momentum: float = 0.9
     theta_prev_snapshot: np.ndarray = field(init=False)
     velocity: np.ndarray = field(init=False)
 
@@ -231,16 +229,9 @@ class ModelState:
         self.replace_weights(self.theta)
 
     @classmethod
-    def initialize(
-        cls,
-        n_classes: int,
-        n_features: int,
-        rng: np.random.Generator,
-        learning_rate: float = 0.05,
-        momentum: float = 0.9,
-    ) -> "ModelState":
+    def initialize(cls, n_classes: int, n_features: int, rng: np.random.Generator) -> "ModelState":
         theta = 0.01 * rng.standard_normal(n_classes * (n_features + 1))
-        return cls(theta, _frozen_copy(theta), learning_rate, momentum)
+        return cls(theta, _frozen_copy(theta))
 
     def replace_weights(self, theta: np.ndarray) -> None:
         """Install re-initialized weights: the previous-step snapshot follows
@@ -250,12 +241,12 @@ class ModelState:
         self.velocity = np.zeros_like(self.theta)
 
 
-def sgd_step(model: ModelState, gradient: np.ndarray) -> None:
-    """velocity <- momentum*velocity + gradient; theta <- theta - lr*velocity."""
+def sgd_step(model: ModelState, gradient: np.ndarray, learning_rate: float, momentum: float) -> None:
+    """velocity <- momentum*velocity + gradient; theta <- theta - learning_rate*velocity."""
     if gradient.shape != model.theta.shape:
         raise ValueError("gradient shape does not match theta")
-    model.velocity = model.momentum * model.velocity + gradient
-    model.theta = model.theta - model.learning_rate * model.velocity
+    model.velocity = momentum * model.velocity + gradient
+    model.theta = model.theta - learning_rate * model.velocity
 
 
 def holdout_count(n: int, fraction: float) -> int:
@@ -335,7 +326,7 @@ def adapt_gradient(model: ModelState, batch: np.ndarray, loss: AdaptLoss) -> np.
 
 
 def adapt_batch(
-    model: ModelState, batch: np.ndarray, loss: AdaptLoss
+    model: ModelState, batch: np.ndarray, loss: AdaptLoss, learning_rate: float, momentum: float
 ) -> tuple[Prediction, Prediction]:
     """One online adaptation step.
 
@@ -346,5 +337,5 @@ def adapt_batch(
     prev_pred = predict(model.theta_prev_snapshot, batch)
     curr_pred = predict(model.theta, batch)
     model.theta_prev_snapshot = model.theta.copy()
-    sgd_step(model, adapt_gradient(model, batch, loss))
+    sgd_step(model, adapt_gradient(model, batch, loss), learning_rate, momentum)
     return prev_pred, curr_pred

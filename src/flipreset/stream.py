@@ -122,7 +122,11 @@ class SourceDistribution:
         decision boundary; built once and read-only."""
         d = self.means[1] - self.means[0]
         with np.errstate(all="ignore"):
-            d = d / np.linalg.norm(d)
+            norm = np.linalg.norm(d)
+            if np.isinf(norm):  # above about 9.5e153 the norm's squares overflow
+                d = d / abs(self.class_separation)
+                norm = np.linalg.norm(d)
+            d = d / norm
         d.setflags(write=False)
         return d
 

@@ -45,6 +45,22 @@ class TestExitCodes:
         assert main(["run", "--config", str(bad)]) == 1
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Python's json reads at most 4,300 digits into an int
+            b'{"stream": {"class_separation": 1' + b"0" * 5000 + b"}}",
+            b'{"batch_size": 16, "note": "\xff"}',
+        ],
+        ids=["integer past the digit limit", "not UTF-8"],
+    )
+    def test_unreadable_json_exits_one(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        assert main(["run", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "not readable JSON" in err and "Traceback" not in err
+
     def test_unknown_flag_rejected(self, config_path, capsys):
         assert main(["run", "--config", config_path, "--frobnicate"]) == 1
         capsys.readouterr()

@@ -71,6 +71,10 @@ MALFORMED = [
     # finite, but beta * sqrt(batch_size), the threshold one step after the minimum, is not
     (("policy",), {"kind": "abr", "beta": 1e308}, "beta"),
     (("output",), "log.csv", "output"),
+    # 2**53 + 1, which a float64 would round to 2**53
+    (("stream", "class_separation"), 2**53 + 1, "class_separation must be a number that a float64 holds exactly, got 9007199254740993"),
+    # past the largest float64, and quoted as given rather than as inf
+    (("learner", "learning_rate"), 10**400, f"learner.learning_rate must be a number that a float64 holds exactly, got {10**400}"),
 ]
 
 
@@ -105,6 +109,8 @@ def test_json_integer_in_float_field_becomes_float():
     config = config_from_dict({"learner": {"learning_rate": 1}, "policy": {"kind": "abr"}, "batch_size": 32})
     assert type(config.learner.learning_rate) is float
     assert config.policy.trigger.time_unit_scale == 32.0
+    # the largest integer below which every integer is a float64 exactly
+    assert config_from_dict({"stream": {"class_separation": 2**53}}).stream.class_separation == 2.0**53
 
 
 # JSON values of every type, with the schema's own words among the strings

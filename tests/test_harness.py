@@ -144,8 +144,8 @@ class TestRunExperiment:
         adapt_batch = harness.adapt_batch
         steps = itertools.count(1)
 
-        def nan_at_step_3(model, batch, loss):
-            prev_pred, curr_pred = adapt_batch(model, batch, loss)
+        def nan_at_step_3(*args):
+            prev_pred, curr_pred = adapt_batch(*args)
             if next(steps) == 3:  # as logits that overflow for the previous-step weights alone give
                 prev_pred = dataclasses.replace(prev_pred, confidence=np.full_like(prev_pred.confidence, np.nan))
             return prev_pred, curr_pred
@@ -191,13 +191,18 @@ class TestRunExperiment:
             assert not model.velocity.any()
             assert rows_equal(shared, run_experiment(cfg, 2, policy=policy))
 
-    def test_build_model_carries_adaptation_settings(self):
-        cfg = small_config(learner={"learning_rate": 0.03, "momentum": 0.5})
-        model, _ = build_model(cfg, 2)
-        assert (model.learning_rate, model.momentum) == (0.03, 0.5)
+    def test_given_model_adapts_with_the_configs_settings(self):
+        pretrain = {"samples_per_class": 100, "epochs": 60}
+        adapting = small_config(learner={"learning_rate": 0.1, "momentum": 0.9, "pretrain": pretrain})
+        frozen = small_config(learner={"learning_rate": 0.0, "momentum": 0.0, "pretrain": pretrain})
+        model, _ = build_model(adapting, 2)
         assert model.theta.tobytes() == model.theta_source.tobytes()
         assert model.theta_prev_snapshot.tobytes() == model.theta.tobytes()
         assert not model.velocity.any()
+        # the frozen config's learning rate and momentum, not the model's origin, set the run
+        given = run_experiment(frozen, 2, model=model).rows.column("accuracy")
+        alone = run_experiment(frozen, 2).rows.column("accuracy")
+        assert given.tobytes() == alone.tobytes()
 
     def test_given_model_restarts_at_source_weights(self):
         cfg = small_config()

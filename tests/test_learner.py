@@ -305,24 +305,24 @@ class TestBitwisePins:
 
 class TestSgdStep:
     def test_plain_sgd(self, rng):
-        model = ModelState.initialize(2, 3, rng, learning_rate=0.1, momentum=0.0)
+        model = ModelState.initialize(2, 3, rng)
         before = model.theta.copy()
-        sgd_step(model, np.ones_like(model.theta))
+        sgd_step(model, np.ones_like(model.theta), learning_rate=0.1, momentum=0.0)
         assert np.allclose(model.theta, before - 0.1, atol=1e-15)
 
     def test_zero_gradient_fixed_point(self, rng):
         model = ModelState.initialize(2, 3, rng)
         before = model.theta.copy()
-        sgd_step(model, np.zeros_like(model.theta))
+        sgd_step(model, np.zeros_like(model.theta), learning_rate=0.05, momentum=0.9)
         assert model.theta.tobytes() == before.tobytes()
 
     def test_momentum_matches_unrolled_recurrence(self, rng):
-        model = ModelState.initialize(2, 3, rng, learning_rate=0.05, momentum=0.9)
+        model = ModelState.initialize(2, 3, rng)
         grads = [rng.normal(0, 1, model.theta.size) for _ in range(10)]
         theta = model.theta.copy()
         velocity = np.zeros_like(theta)
         for g in grads:
-            sgd_step(model, g)
+            sgd_step(model, g, learning_rate=0.05, momentum=0.9)
             velocity = 0.9 * velocity + g
             theta = theta - 0.05 * velocity
         assert np.allclose(model.theta, theta, atol=1e-12)
@@ -330,7 +330,7 @@ class TestSgdStep:
     def test_shape_mismatch_rejected(self, rng):
         model = ModelState.initialize(2, 3, rng)
         with pytest.raises(ValueError):
-            sgd_step(model, np.zeros(5))
+            sgd_step(model, np.zeros(5), learning_rate=0.05, momentum=0.9)
 
 
 def two_gaussians(rng, n=400, separation=2.0, sigma=0.5):
@@ -463,19 +463,19 @@ class TestPretrainSource:
 
 class TestAdaptBatch:
     def test_zero_learning_rate_freezes_predictions(self, rng):
-        model = ModelState.initialize(3, 4, rng, learning_rate=0.0, momentum=0.0)
+        model = ModelState.initialize(3, 4, rng)
         batch = rng.normal(0, 1, (16, 4))
         for _ in range(5):
-            prev_pred, curr_pred = adapt_batch(model, batch, EntropyMin())
+            prev_pred, curr_pred = adapt_batch(model, batch, EntropyMin(), learning_rate=0.0, momentum=0.0)
             assert np.array_equal(prev_pred.classes, curr_pred.classes)
             assert np.array_equal(prev_pred.confidence, curr_pred.confidence)
 
     def test_theta_changes_iff_gradient_nonzero(self, rng):
-        model = ModelState.initialize(3, 4, rng, learning_rate=0.1, momentum=0.0)
+        model = ModelState.initialize(3, 4, rng)
         batch = rng.normal(0, 1, (8, 4))
         g = entropy_grad(model.theta, batch)
         before = model.theta.copy()
-        adapt_batch(model, batch, EntropyMin())
+        adapt_batch(model, batch, EntropyMin(), learning_rate=0.1, momentum=0.0)
         assert (np.linalg.norm(g) > 0) == (not np.array_equal(before, model.theta))
 
     def test_snapshot_discipline(self, rng):
@@ -483,7 +483,7 @@ class TestAdaptBatch:
         end_of_step = model.theta.copy()
         for _ in range(10):
             batch = rng.normal(0, 1, (8, 4))
-            adapt_batch(model, batch, RobustPseudoLabel())
+            adapt_batch(model, batch, RobustPseudoLabel(q=0.8), learning_rate=0.05, momentum=0.9)
             assert model.theta_prev_snapshot.tobytes() == end_of_step.tobytes()
             end_of_step = model.theta.copy()
 
@@ -491,7 +491,7 @@ class TestAdaptBatch:
         model = ModelState.initialize(3, 4, rng)
         source_bytes = model.theta_source.tobytes()
         for step in range(20):
-            adapt_batch(model, rng.normal(0, 1, (8, 4)), EntropyMin())
+            adapt_batch(model, rng.normal(0, 1, (8, 4)), EntropyMin(), learning_rate=0.05, momentum=0.9)
             if step % 7 == 0:
                 model.replace_weights(0.5 * model.theta_source + 0.5 * model.theta)
             assert model.theta_source.tobytes() == source_bytes
@@ -503,7 +503,7 @@ class TestAdaptBatch:
             flips = []
             for _ in range(1000):
                 batch = rng.normal(0, 1, (16, 4))
-                prev_pred, curr_pred = adapt_batch(model, batch, EntropyMin())
+                prev_pred, curr_pred = adapt_batch(model, batch, EntropyMin(), learning_rate=0.05, momentum=0.9)
                 flips.append(int(np.sum(prev_pred.classes != curr_pred.classes)))
             return flips, model.theta
 
@@ -514,7 +514,7 @@ class TestAdaptBatch:
 
     def test_replace_weights_resets_optimizer(self, rng):
         model = ModelState.initialize(3, 4, rng)
-        adapt_batch(model, rng.normal(0, 1, (8, 4)), EntropyMin())
+        adapt_batch(model, rng.normal(0, 1, (8, 4)), EntropyMin(), learning_rate=0.05, momentum=0.9)
         model.replace_weights(model.theta_source)
         assert not model.velocity.any()
         assert model.theta_prev_snapshot.tobytes() == model.theta.tobytes()
@@ -539,7 +539,7 @@ class TestModelStateStart:
     def test_replace_restarts_at_given_weights(self, rng):
         model = ModelState.initialize(3, 4, rng)
         for _ in range(3):
-            adapt_batch(model, rng.normal(0, 1, (8, 4)), EntropyMin())
+            adapt_batch(model, rng.normal(0, 1, (8, 4)), EntropyMin(), learning_rate=0.05, momentum=0.9)
         assert model.velocity.any()
         copy = replace(model, theta=model.theta_source)
         assert_fresh_start(copy)

@@ -209,6 +209,14 @@ class TestCorruptions:
         # points from class 0's mean toward class 1's
         assert v[1] > 0 > v[0]
 
+    @pytest.mark.parametrize("separation", [1e154, 1e300, -1e300])
+    def test_shift_direction_is_a_unit_vector_past_the_norms_overflow(self, separation):
+        # above about 9.5e153 the norm of the means' difference overflows to inf
+        v = SourceDistribution(class_separation=separation).shift_direction
+        small = SourceDistribution(class_separation=math.copysign(2.5, separation)).shift_direction
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(np.sign(v), np.sign(small))
+
 
 class TestTransitions:
     def make(self, kind_a, kind_b, transition):
