@@ -9,7 +9,6 @@ own channel, and learner init/pretraining from a third.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
@@ -65,8 +64,8 @@ LOG_FORMATS = (".csv", ".jsonl")
 _row_values = attrgetter(*_COLUMNS)
 _INTS = tuple(i for i, f in enumerate(fields(LogRow)) if f.type == "int")
 _NULLABLE = tuple(i for i, f in enumerate(fields(LogRow)) if f.type.endswith(" | None"))
-_REQUIRED = tuple(i for i in range(len(_COLUMNS)) if i not in _NULLABLE)
 _RESET = list(_COLUMNS).index("reset")
+_NUMBER_TYPES = [(int, np.integer) if i in _INTS else (int, float, np.integer, np.floating) for i in range(len(_COLUMNS))]
 # rows are built, formatted and parsed this many at a time, so that no pass
 # over a long log holds all of it as Python objects or text
 _CHUNK = 1024
@@ -88,6 +87,45 @@ _CSV_TEXT = (",".join(_cells("%.9g")) + "\n", "%.9g", "")
 # float.__repr__ writes them and None as null
 _JSON_TEXT = ("{" + ", ".join(map('"{}": {}'.format, _COLUMNS.values(), _cells("%r"))) + "}\n", "%r", "null")
 _json_values = itemgetter(*_COLUMNS.values())
+
+
+def _broken_rule(cols: list[Sequence]) -> np.ndarray | str:
+    """The float64 block of a log's columns, or the first rule of :func:`_block` they break."""
+    for i, col in enumerate(cols):
+        kinds = set(map(type, col))
+        if type(None) in kinds and i not in _NULLABLE:
+            return "empty required field"
+        if any(k is bool or not issubclass(k, _NUMBER_TYPES[i]) for k in kinds - {type(None)}):
+            return "non-integer value in an integer field" if i in _INTS else "non-numeric value in a float field"
+    try:
+        block = np.array(cols, dtype=float).reshape(len(_COLUMNS), -1)
+    except OverflowError:  # an integer past the largest float
+        return "integer that no float64 holds exactly"
+    # every integer below 2**53 in size is a float exactly; only a block with a
+    # larger number has its integers compared one by one
+    if (np.abs(block) >= 2**53).any() and not exact_in_float64(chain.from_iterable(cols)):
+        return "integer that no float64 holds exactly"
+    if np.count_nonzero(~np.isfinite(block)) != sum(cols[i].count(None) for i in _NULLABLE):
+        return "non-finite value"  # a NaN that is not a None, or an infinity
+    if ((block[_RESET] != 0) & (block[_RESET] != 1)).any():
+        return "reset other than 0 or 1"
+    return block
+
+
+def _block(cols: list[Sequence]) -> np.ndarray:
+    """The float64 block of a log's columns, each :class:`LogRow` field's
+    values in field order, NaN for None. Raises ValueError naming the first
+    row, by its ``t``, where an int field holds other than an int, a float
+    field other than a number (a bool is neither), a required field None, a
+    float is not finite, an integer is one that no float64 holds exactly, or
+    ``reset`` is neither 0 nor 1."""
+    block = _broken_rule(cols)
+    if isinstance(block, str):
+        # one row at a time, once the whole block is known to break a rule
+        for j, t in enumerate(cols[0]):
+            if isinstance(rule := _broken_rule([col[j : j + 1] for col in cols]), str):
+                raise ValueError(f"{rule} in the log row at t={t}")
+    return block
 
 
 def _rows(block: np.ndarray) -> list[LogRow]:
@@ -124,25 +162,8 @@ class LogColumns(Sequence[LogRow]):
 
     @classmethod
     def from_rows(cls, rows: Sequence[LogRow]) -> LogColumns:
-        """A store holding ``rows``; raises ValueError, naming the row's ``t``,
-        if one holds an integer that no float64 holds exactly, a float in one
-        is NaN or infinite, a field that cannot be empty is None, an int field
-        holds a bool or a non-integer, or ``reset`` is neither 0 nor 1."""
-        store = cls(len(rows))
-        for row in rows:
-            values = _row_values(row)
-            if not exact_in_float64(values):
-                raise ValueError(f"integer that no float64 holds exactly in the log row at t={row.t}")
-            if not all(v is None or math.isfinite(v) for v in values):
-                raise ValueError(f"non-finite value in the log row at t={row.t}")
-            if any(values[i] is None for i in _REQUIRED):
-                raise ValueError(f"empty required field in the log row at t={row.t}")
-            if not all(isinstance(values[i], (int, np.integer)) and type(values[i]) is not bool for i in _INTS):
-                raise ValueError(f"non-integer value in an integer field of the log row at t={row.t}")
-            if values[_RESET] not in (0, 1):
-                raise ValueError(f"reset other than 0 or 1 in the log row at t={row.t}")
-            store.append(values)
-        return store
+        """A store holding ``rows``; raises ValueError as :func:`_block` does."""
+        return cls._of(_block(list(zip(*map(_row_values, rows)))))
 
     @classmethod
     def _of(cls, columns: np.ndarray) -> LogColumns:
@@ -420,23 +441,19 @@ def export_log(log: ExperimentLog, path: str | Path) -> Path:
     return path
 
 
-def _non_finite(constant: str) -> float:
-    raise ValueError(f"non-finite value {constant} in the log")
-
-
 def import_log_jsonl(path: str | Path) -> ExperimentLog:
-    """Inverse of the JSON-lines export; field-for-field round trip."""
+    """Inverse of the JSON-lines export; field-for-field round trip. A row
+    that breaks a rule of :func:`_block` raises ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
         lines = (line for line in fh if line != "\n")  # newlines read as "\n", blank lines skipped
         first = next(lines, None)
         if first is None:
             raise ValueError(f"{path}: empty log file")
         meta = json.loads(first)
-        decode = json.JSONDecoder(parse_constant=_non_finite).decode
+        decode = json.JSONDecoder().decode
         blocks = [np.empty((len(_COLUMNS), 0))]
         while chunk := list(islice(lines, _CHUNK)):
-            # one decode per chunk of lines, transposed into columns, in
-            # which numpy reads each null as NaN
+            # one decode per chunk of lines, transposed into columns
             try:
                 rows = decode("[" + ",".join(chunk) + "]")
             except json.JSONDecodeError:
@@ -445,31 +462,13 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
                 # one line is one row: decoding the lines one at a time raises
                 # at the first that is not exactly one JSON value
                 rows = list(map(decode, chunk))
-            cols = list(zip(*map(_json_values, rows)))
-            # checked here, as the float columns would read true as 1.0 and a
-            # t of 1.5 back as 1; a null is reported as an empty required field
-            if any({*map(type, cols[i])} - {int, type(None)} for i in _INTS):
-                raise ValueError(f"{path}: non-integer value in an integer field of the log")
             try:
-                block = np.array(cols, dtype=float)
-                # every integer below 2**53 in size is a float exactly; only a
-                # chunk with a larger number has its integers compared one by one
-                exact = not (np.abs(block) >= 2**53).any() or exact_in_float64(chain.from_iterable(cols))
-            except OverflowError:  # an integer past the largest float
-                exact = False
-            if not exact:
-                raise ValueError(f"{path}: integer that no float64 holds exactly in the log")
-            blocks.append(block)
-    columns = np.concatenate(blocks, axis=1)
-    if np.isinf(columns).any():  # a number too large for a float
-        raise ValueError(f"{path}: non-finite value in the log")
-    if any(np.isnan(columns[i]).any() for i in _REQUIRED):
-        raise ValueError(f"{path}: null in a required field of the log")
-    if ((columns[_RESET] != 0) & (columns[_RESET] != 1)).any():
-        raise ValueError(f"{path}: reset other than 0 or 1 in the log")
+                blocks.append(_block(list(zip(*map(_json_values, rows)))))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
     return ExperimentLog(
         policy_name=meta["policy"],
         seed=int(meta["seed"]),
-        rows=LogColumns._of(columns),
+        rows=LogColumns._of(np.concatenate(blocks, axis=1)),
         aborted_at=meta["aborted_at"],
     )

@@ -382,28 +382,32 @@ class TestExport:
             ExperimentLog("x", 0, rows=[rows[0], dataclasses.replace(rows[1], accuracy=None)])
         path = export_log(ExperimentLog("x", 0, rows=rows), tmp_path / "log.jsonl")
         path.write_text(path.read_text().replace('"accuracy": 0.25', '"accuracy": null'))
-        with pytest.raises(ValueError, match="null in a required field"):
+        with pytest.raises(ValueError, match="log.jsonl: empty required field in the log row at t=2"):
             import_log_jsonl(path)
 
     # (field, value, what the error names): a bool, a fraction or a float
-    # in an int field, and a reset that is not a flag
-    BAD_INTS = [
+    # in an int field, a reset that is not a flag, and a string, a bool or a
+    # list in a float field
+    BAD_FIELDS = [
         ("t", 1.5, "non-integer value in an integer field"),
         ("domain", 0.9, "non-integer value in an integer field"),
         ("reset", True, "non-integer value in an integer field"),
         ("reset", 1.0, "non-integer value in an integer field"),
         ("reset", 7, "reset other than 0 or 1"),
         ("reset", -1, "reset other than 0 or 1"),
+        ("slope", "0.1", "non-numeric value in a float field"),
+        ("accuracy", True, "non-numeric value in a float field"),
+        ("threshold", [1.0], "non-numeric value in a float field"),
     ]
 
-    @pytest.mark.parametrize(("column", "value", "named"), BAD_INTS)
+    @pytest.mark.parametrize(("column", "value", "named"), BAD_FIELDS)
     def test_row_with_a_bad_int_field_is_rejected(self, column, value, named):
         rows = make_rows([0.5, 0.25, 1.0])
         rows[1] = dataclasses.replace(rows[1], **{column: value})
         with pytest.raises(ValueError, match=f"{named} .*log row at t={rows[1].t}"):
             ExperimentLog("x", 0, rows=rows)
 
-    @pytest.mark.parametrize(("column", "value", "named"), BAD_INTS)
+    @pytest.mark.parametrize(("column", "value", "named"), BAD_FIELDS)
     def test_jsonl_import_rejects_a_bad_int_field(self, tmp_path, column, value, named):
         path = export_log(make_log([0.5, 0.25, 1.0]), tmp_path / "log.jsonl")
         meta, *rows = path.read_text().splitlines()
@@ -411,7 +415,7 @@ class TestExport:
         row[column] = value
         rows[1] = json.dumps(row)
         path.write_text("\n".join([meta, *rows]) + "\n")
-        with pytest.raises(ValueError, match=f"log.jsonl: {named}"):
+        with pytest.raises(ValueError, match=f"log.jsonl: {named} in the log row at t={row['t']}"):
             import_log_jsonl(path)
 
     # an integer past the float range, and one past 2**53 that a float would round
@@ -436,7 +440,7 @@ class TestExport:
         row[column] = value
         rows[1] = json.dumps(row)
         path.write_text("\n".join([meta, *rows]) + "\n")
-        with pytest.raises(ValueError, match="log.jsonl: integer that no float64 holds exactly"):
+        with pytest.raises(ValueError, match=f"log.jsonl: integer that no float64 holds exactly in the log row at t={row['t']}"):
             import_log_jsonl(path)
 
     def test_jsonl_import_keeps_large_integers_that_floats_hold(self, tmp_path):
@@ -462,7 +466,7 @@ class TestExport:
     def test_jsonl_import_rejects_non_finite_floats(self, tmp_path, value):
         path = export_log(make_log([0.5, 0.25]), tmp_path / "log.jsonl")
         path.write_text(path.read_text().replace('"lf_raw": 0.0', f'"lf_raw": {value}', 1))
-        with pytest.raises(ValueError, match="non-finite value"):
+        with pytest.raises(ValueError, match="log.jsonl: non-finite value in the log row at t=1"):
             import_log_jsonl(path)
 
     @pytest.mark.parametrize("joint", [", ", ",\n"], ids=["two rows on a line", "a row on two lines"])
