@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -56,7 +57,7 @@ class StreamConfig:
         probe = (Domain(CorruptionKind.MEAN_SHIFT, 0.0),) if self.domains is None else self.domains[:1]
         DomainSchedule(probe, self.batches_per_domain, self.transition, seed=0)
         if self.horizon > MAX_HORIZON:
-            raise ValueError(f"domains x batches_per_domain must be < 2**32 batches, got {self.horizon}")
+            raise ValueError(f"domains x batches_per_domain must be < 2**32 batches, got {shown(self.horizon)}")
 
     @property
     def horizon(self) -> int:
@@ -123,8 +124,20 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-negative")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
+        # numpy shapes no float64 array of more bytes than an intp counts
+        most, features = np.iinfo(np.intp).max // 8, self.stream.n_features
+        if self.batch_size * features > most:
+            raise ConfigError(
+                f"batch_size x stream.n_features must be at most {most} float64 values, "
+                f"got {self.batch_size} x {features}"
+            )
         pre = self.learner.pretrain
         n = pre.samples_per_class * self.stream.n_classes
+        if n * features > most:
+            raise ConfigError(
+                f"learner.pretrain.samples_per_class x stream.n_classes x stream.n_features must be at most "
+                f"{most} float64 values, got {pre.samples_per_class} x {self.stream.n_classes} x {features}"
+            )
         if holdout_count(n, pre.holdout_fraction) >= n:
             raise ConfigError(f"learner.pretrain.holdout_fraction leaves none of {n} samples to train on")
         # a preset reset time past the stream's end would never fire
@@ -167,6 +180,16 @@ def exact_in_float64(values) -> bool:
         return False
 
 
+def shown(value) -> str:
+    """``value`` as a message quotes it, as ``str`` does, but an integer past
+    Python's limit on the digits it prints as its number of digits."""
+    try:
+        return str(value)
+    except ValueError:
+        digits = int(value.bit_length() * math.log10(2)) + 1  # the count, or one more
+        return f"an integer of {digits - (abs(value) < 10 ** (digits - 1))} digits"
+
+
 def _typed(value, annotation: str, where: str):
     """``value`` if it has the JSON type that a field's ``annotation`` names;
     a ``tuple[T, ...]`` is a JSON list of T, and a JSON integer in a float
@@ -178,6 +201,12 @@ def _typed(value, annotation: str, where: str):
         item = annotation.removeprefix("tuple[").removesuffix(", ...]")
         return tuple(_typed(x, item, f"{where}[{i}]") for i, x in enumerate(_list(value, where)))
     want, name = _JSON_TYPES[annotation]
+    if type(value) is int:
+        try:
+            str(value)
+        except ValueError:  # no JSON file holds such an integer: load_config rejects it unread
+            limit = sys.get_int_max_str_digits()
+            raise ConfigError(f"{where} must have at most {limit} digits, got {shown(value)}") from None
     if want is float and type(value) is int:
         if not exact_in_float64((value,)):
             raise ConfigError(f"{where} must be a number that a float64 holds exactly, got {value}")
@@ -254,20 +283,21 @@ def _parse_stream(value) -> StreamConfig:
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build a config from a parsed JSON object; raises ConfigError, naming
     the key, on any unknown key or bad value."""
-    # a trigger's sample clock is one batch, so batch_size is checked first
-    given = {k: v for k, v in _object(d, "config").items() if k == "batch_size"}
-    batch_size = _build(ExperimentConfig, given, "config").batch_size
+    # a trigger's sample clock is one batch, so batch_size is checked first,
+    # with the stream whose features make up a batch
+    given = {k: v for k, v in _object(d, "config").items() if k in ("batch_size", "stream")}
+    first = _build(ExperimentConfig, given, "config", stream=_parse_stream)
     return _build(
         ExperimentConfig,
         d,
         "config",
-        stream=_parse_stream,
+        stream=lambda _: first.stream,
         learner=lambda s: _build(
             LearnerConfig, s, "learner", pretrain=lambda p: _build(PretrainConfig, p, "learner.pretrain")
         ),
-        policy=lambda p: parse_policy(p, batch_size),
+        policy=lambda p: parse_policy(p, first.batch_size),
         policies=lambda ps: {
-            name: parse_policy(p, batch_size, f"policies.{name}")
+            name: parse_policy(p, first.batch_size, f"policies.{name}")
             for name, p in _object(ps, "policies").items()
         },
     )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, exact_in_float64
+from .config import ExperimentConfig, exact_in_float64, shown
 from .flip_signal import FlipSignalState, observe_batch
 from .learner import DivergenceError, ModelState, adapt_batch, pretrain_source
 from .policy import ResetPolicy, policy_name as _policy_label, policy_step
@@ -87,6 +87,12 @@ _CSV_TEXT = (",".join(_cells("%.9g")) + "\n", "%.9g", "")
 # float.__repr__ writes them and None as null
 _JSON_TEXT = ("{" + ", ".join(map('"{}": {}'.format, _COLUMNS.values(), _cells("%r"))) + "}\n", "%r", "null")
 _json_values = itemgetter(*_COLUMNS.values())
+# each key of a JSON-lines log's meta line, with the test its value passes
+_META = {
+    "policy": (lambda v: type(v) is str, "a string"),
+    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "aborted_at": (lambda v: v is None or type(v) is int and v >= 1, "null or an integer >= 1"),
+}
 
 
 def _broken_rule(cols: list[Sequence]) -> np.ndarray | str:
@@ -124,7 +130,7 @@ def _block(cols: list[Sequence]) -> np.ndarray:
         # one row at a time, once the whole block is known to break a rule
         for j, t in enumerate(cols[0]):
             if isinstance(rule := _broken_rule([col[j : j + 1] for col in cols]), str):
-                raise ValueError(f"{rule} in the log row at t={t}")
+                raise ValueError(f"{rule} in the log row at t={shown(t)}")
     return block
 
 
@@ -442,17 +448,29 @@ def export_log(log: ExperimentLog, path: str | Path) -> Path:
 
 
 def import_log_jsonl(path: str | Path) -> ExperimentLog:
-    """Inverse of the JSON-lines export; field-for-field round trip. A row
-    that breaks a rule of :func:`_block` raises ValueError naming the file."""
+    """Inverse of the JSON-lines export; field-for-field round trip.
+
+    Raises ValueError naming the file if the meta line is not an object of
+    the keys and values that the export writes, if a row line, named by its
+    number, is not an object of exactly the log's keys, or if a row breaks a
+    rule of :func:`_block`.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = (line for line in fh if line != "\n")  # newlines read as "\n", blank lines skipped
-        first = next(lines, None)
+        # newlines read as "\n"; blank lines are skipped, but counted
+        lines = ((n, line) for n, line in enumerate(fh, 1) if line != "\n")
+        _, first = next(lines, (0, None))
         if first is None:
             raise ValueError(f"{path}: empty log file")
         meta = json.loads(first)
+        if type(meta) is not dict or meta.keys() != _META.keys():
+            raise ValueError(f"{path}: the meta line must be an object of exactly the keys {', '.join(_META)}")
+        for key, (valid, kind) in _META.items():
+            if not valid(meta[key]):
+                raise ValueError(f"{path}: the meta line's {key} must be {kind}, got {meta[key]!r}")
         decode = json.JSONDecoder().decode
         blocks = [np.empty((len(_COLUMNS), 0))]
         while chunk := list(islice(lines, _CHUNK)):
+            numbers, chunk = zip(*chunk)
             # one decode per chunk of lines, transposed into columns
             try:
                 rows = decode("[" + ",".join(chunk) + "]")
@@ -462,13 +480,23 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
                 # one line is one row: decoding the lines one at a time raises
                 # at the first that is not exactly one JSON value
                 rows = list(map(decode, chunk))
+            # every row an object holding each of the log's keys, and the
+            # chunk no more keys than that, so that no row holds another
             try:
-                blocks.append(_block(list(zip(*map(_json_values, rows)))))
+                values = list(map(_json_values, rows))
+            except (KeyError, TypeError):
+                values = []
+            if len(values) != len(rows) or sum(map(len, rows)) != len(_COLUMNS) * len(rows):
+                keys = set(_COLUMNS.values())
+                n = next(n for n, row in zip(numbers, rows) if type(row) is not dict or row.keys() != keys)
+                raise ValueError(f"{path}: line {n} must be an object of exactly the keys {CSV_HEADER}")
+            try:
+                blocks.append(_block(list(zip(*values))))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
     return ExperimentLog(
         policy_name=meta["policy"],
-        seed=int(meta["seed"]),
+        seed=meta["seed"],
         rows=LogColumns._of(np.concatenate(blocks, axis=1)),
         aborted_at=meta["aborted_at"],
     )

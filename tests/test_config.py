@@ -75,6 +75,9 @@ MALFORMED = [
     (("stream", "class_separation"), 2**53 + 1, "class_separation must be a number that a float64 holds exactly, got 9007199254740993"),
     # past the largest float64, and quoted as given rather than as inf
     (("learner", "learning_rate"), 10**400, f"learner.learning_rate must be a number that a float64 holds exactly, got {10**400}"),
+    # arrays whose shape numpy refuses: more bytes than an intp counts
+    (("batch_size",), 10**20, "batch_size x stream.n_features must be at most"),
+    (("learner", "pretrain", "samples_per_class"), 10**20, "learner.pretrain.samples_per_class x stream.n_classes"),
 ]
 
 
@@ -90,6 +93,13 @@ def test_malformed_config_exits_one_naming_the_key(tmp_path, monkeypatch, capsys
     config.write_text(json.dumps(raw))  # float("nan") is written as JSON NaN
     assert main(["run", "--config", str(config), "--quiet"]) == 1
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["class_separation", "num_domains"])
+def test_integer_past_the_digit_limit_is_named(key):
+    # no JSON file holds such an integer, but a dict given in Python may
+    with pytest.raises(ConfigError, match=f"^stream.{key} must have at most 4300 digits, got an integer of 5001 digits$"):
+        config_from_dict({"stream": {key: 10**5000}})
 
 
 def test_holdout_must_leave_a_training_sample():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -441,6 +442,54 @@ class TestExport:
         rows[1] = json.dumps(row)
         path.write_text("\n".join([meta, *rows]) + "\n")
         with pytest.raises(ValueError, match=f"log.jsonl: integer that no float64 holds exactly in the log row at t={row['t']}"):
+            import_log_jsonl(path)
+
+    # the meta line's text, and what the error names
+    BAD_META = [
+        ('{"policy": "abr", "seed": "3", "aborted_at": null}', "meta line's seed must be an integer >= 0, got '3'"),
+        ('{"policy": "abr", "seed": 1.5, "aborted_at": null}', "meta line's seed must be an integer >= 0, got 1.5"),
+        ('{"policy": "abr", "seed": true, "aborted_at": null}', "meta line's seed must be an integer >= 0, got True"),
+        ('{"policy": "abr", "seed": -1, "aborted_at": null}', "meta line's seed must be an integer >= 0, got -1"),
+        ('{"policy": 7, "seed": 3, "aborted_at": null}', "meta line's policy must be a string, got 7"),
+        ('{"policy": "abr", "seed": 3, "aborted_at": "x"}', "meta line's aborted_at must be null or an integer >= 1, got 'x'"),
+        ('{"policy": "abr", "seed": 3, "aborted_at": 0}', "meta line's aborted_at must be null or an integer >= 1, got 0"),
+        ('{"policy": "abr", "seed": 3}', "meta line must be an object of exactly the keys policy, seed, aborted_at"),
+        ('{"policy": "abr", "seed": 3, "aborted_at": null, "note": 1}', "meta line must be an object of exactly the keys"),
+        ('["abr", 3, null]', "meta line must be an object of exactly the keys"),
+    ]
+
+    @pytest.mark.parametrize(
+        ("line", "named"),
+        BAD_META,
+        ids=["seed a string", "seed a fraction", "seed true", "seed -1", "policy a number",
+             "aborted_at a string", "aborted_at 0", "missing key", "extra key", "a list"],
+    )
+    def test_jsonl_import_rejects_a_bad_meta_line(self, tmp_path, line, named):
+        path = export_log(make_log([0.5, 0.25]), tmp_path / "log.jsonl")
+        meta, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([line, *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"log.jsonl: the {re.escape(named)}"):
+            import_log_jsonl(path)
+
+    # how the second row is changed: a missing key, an extra key, and a row
+    # that is not an object
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda row: {k: v for k, v in row.items() if k != "t"},
+            lambda row: {**row, "lam": 1.0},
+            lambda row: list(row.values()),
+            lambda row: 0.25,
+        ],
+        ids=["missing key", "extra key", "list", "number"],
+    )
+    def test_jsonl_import_rejects_a_row_of_other_keys(self, tmp_path, change):
+        path = export_log(make_log([0.5, 0.25, 1.0]), tmp_path / "log.jsonl")
+        meta, *rows = path.read_text().splitlines()
+        rows[1] = json.dumps(change(json.loads(rows[1])))
+        # the blank line is counted, so the second row is the file's fourth line
+        path.write_text("\n".join([meta, "", *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"log.jsonl: line 4 must be an object of exactly the keys {CSV_HEADER}$"):
             import_log_jsonl(path)
 
     def test_jsonl_import_keeps_large_integers_that_floats_hold(self, tmp_path):
