@@ -9,6 +9,7 @@ own channel, and learner init/pretraining from a third.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
@@ -97,21 +98,27 @@ _META = {
 
 def _broken_rule(cols: list[Sequence]) -> np.ndarray | str:
     """The float64 block of a log's columns, or the first rule of :func:`_block` they break."""
+    numbers, nones = [], 0
     for i, col in enumerate(cols):
         kinds = set(map(type, col))
-        if type(None) in kinds and i not in _NULLABLE:
-            return "empty required field"
+        if type(None) in kinds:
+            if i not in _NULLABLE:
+                return "empty required field"
+            # numpy would read None as NaN too, but at three times the cost
+            nones += col.count(None)
+            col = [math.nan if v is None else v for v in col]
         if any(k is bool or not issubclass(k, _NUMBER_TYPES[i]) for k in kinds - {type(None)}):
             return "non-integer value in an integer field" if i in _INTS else "non-numeric value in a float field"
+        numbers.append(col)
     try:
-        block = np.array(cols, dtype=float).reshape(len(_COLUMNS), -1)
+        block = np.array(numbers, dtype=float).reshape(len(_COLUMNS), -1)
     except OverflowError:  # an integer past the largest float
         return "integer that no float64 holds exactly"
     # every integer below 2**53 in size is a float exactly; only a block with a
     # larger number has its integers compared one by one
     if (np.abs(block) >= 2**53).any() and not exact_in_float64(chain.from_iterable(cols)):
         return "integer that no float64 holds exactly"
-    if np.count_nonzero(~np.isfinite(block)) != sum(cols[i].count(None) for i in _NULLABLE):
+    if np.count_nonzero(~np.isfinite(block)) != nones:
         return "non-finite value"  # a NaN that is not a None, or an infinity
     if ((block[_RESET] != 0) & (block[_RESET] != 1)).any():
         return "reset other than 0 or 1"
@@ -458,10 +465,10 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
     with open(path, encoding="utf-8") as fh:
         # newlines read as "\n"; blank lines are skipped, but counted
         lines = ((n, line) for n, line in enumerate(fh, 1) if line != "\n")
-        _, first = next(lines, (0, None))
+        first = next(lines, None)
         if first is None:
             raise ValueError(f"{path}: empty log file")
-        meta = json.loads(first)
+        meta = json.loads(first[1])
         if type(meta) is not dict or meta.keys() != _META.keys():
             raise ValueError(f"{path}: the meta line must be an object of exactly the keys {', '.join(_META)}")
         for key, (valid, kind) in _META.items():
