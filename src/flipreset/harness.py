@@ -463,12 +463,14 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
     rule of :func:`_block`.
     """
     with open(path, encoding="utf-8") as fh:
-        # newlines read as "\n"; blank lines are skipped, but counted
-        lines = ((n, line) for n, line in enumerate(fh, 1) if line != "\n")
-        first = next(lines, None)
-        if first is None:
+        # newlines read as "\n"; blank lines are skipped, but counted in
+        # ``read``, the number of lines read so far
+        for read, first in enumerate(fh, 1):
+            if first != "\n":
+                break
+        else:
             raise ValueError(f"{path}: empty log file")
-        meta = json.loads(first[1])
+        meta = json.loads(first)
         if type(meta) is not dict or meta.keys() != _META.keys():
             raise ValueError(f"{path}: the meta line must be an object of exactly the keys {', '.join(_META)}")
         for key, (valid, kind) in _META.items():
@@ -476,31 +478,33 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
                 raise ValueError(f"{path}: the meta line's {key} must be {kind}, got {meta[key]!r}")
         decode = json.JSONDecoder().decode
         blocks = [np.empty((len(_COLUMNS), 0))]
-        while chunk := list(islice(lines, _CHUNK)):
-            numbers, chunk = zip(*chunk)
+        while chunk := list(islice(fh, _CHUNK)):
+            texts = [line for line in chunk if line != "\n"]
             # one decode per chunk of lines, transposed into columns
             try:
-                rows = decode("[" + ",".join(chunk) + "]")
+                rows = decode("[" + ",".join(texts) + "]")
             except json.JSONDecodeError:
                 rows = []
-            if len(rows) != len(chunk):
+            if len(rows) != len(texts):
                 # one line is one row: decoding the lines one at a time raises
                 # at the first that is not exactly one JSON value
-                rows = list(map(decode, chunk))
-            # every row an object holding each of the log's keys, and the
-            # chunk no more keys than that, so that no row holds another
+                rows = list(map(decode, texts))
+            # each row an object holding every key of the log, and the chunk
+            # ten keys a row in all, so that no row holds another key
             try:
                 values = list(map(_json_values, rows))
             except (KeyError, TypeError):
                 values = []
             if len(values) != len(rows) or sum(map(len, rows)) != len(_COLUMNS) * len(rows):
                 keys = set(_COLUMNS.values())
+                numbers = [read + i for i, line in enumerate(chunk, 1) if line != "\n"]
                 n = next(n for n, row in zip(numbers, rows) if type(row) is not dict or row.keys() != keys)
                 raise ValueError(f"{path}: line {n} must be an object of exactly the keys {CSV_HEADER}")
             try:
                 blocks.append(_block(list(zip(*values))))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
+            read += len(chunk)
     return ExperimentLog(
         policy_name=meta["policy"],
         seed=meta["seed"],
