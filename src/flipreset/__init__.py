@@ -24,6 +24,7 @@ from .learner import (
     EntropyMin,
     ModelState,
     Prediction,
+    PretrainConfig,
     RobustPseudoLabel,
     adapt_batch,
     pretrain_source,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .learner import AdaptLoss, EntropyMin, RobustPseudoLabel, holdout_count
+from .learner import AdaptLoss, EntropyMin, PretrainConfig, RobustPseudoLabel
 from .policy import POLICY_KINDS, NoReset, RandomTiming, ResetPolicy, TriggerConfig
 from .stream import MAX_HORIZON, CorruptionKind, Domain, DomainSchedule, SourceDistribution, Transition
 
@@ -68,22 +68,6 @@ class StreamConfig:
     def source(self) -> SourceDistribution:
         """The clean source distribution, shared by every run of this config."""
         return SourceDistribution(self.n_classes, self.n_features, self.class_separation)
-
-
-@dataclass(frozen=True)
-class PretrainConfig:
-    samples_per_class: int = 500
-    epochs: int = 150
-    learning_rate: float = 0.5
-    holdout_fraction: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.samples_per_class < 1:
-            raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ValueError(f"holdout_fraction must lie in [0, 1), got {self.holdout_fraction}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +122,10 @@ class ExperimentConfig:
                 f"learner.pretrain.samples_per_class x stream.n_classes x stream.n_features must be at most "
                 f"{most} float64 values, got {pre.samples_per_class} x {self.stream.n_classes} x {features}"
             )
-        if holdout_count(n, pre.holdout_fraction) >= n:
-            raise ConfigError(f"learner.pretrain.holdout_fraction leaves none of {n} samples to train on")
+        try:
+            pre.split(self.stream.n_classes)
+        except ValueError as exc:
+            raise ConfigError(f"learner.pretrain.{exc}") from None
         # a preset reset time past the stream's end would never fire
         named = {"policy": self.policy, **{f"policies.{k}": p for k, p in (self.policies or {}).items()}}
         for where, policy in named.items():

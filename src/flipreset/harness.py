@@ -288,18 +288,8 @@ def build_schedule(config: ExperimentConfig, seed: int) -> DomainSchedule:
 
 def build_model(config: ExperimentConfig, seed: int) -> tuple[ModelState, float]:
     """Pretrain the source classifier for one seed; returns (model, holdout accuracy)."""
-    source = config.stream.source
-    rng = np.random.default_rng([seed, _LEARNER_CHANNEL])
-    pre = config.learner.pretrain
-    features, labels = source.sample(pre.samples_per_class * source.n_classes, rng)
     return pretrain_source(
-        features,
-        labels,
-        n_classes=source.n_classes,
-        epochs=pre.epochs,
-        learning_rate=pre.learning_rate,
-        rng=rng,
-        holdout_fraction=pre.holdout_fraction,
+        config.stream.source, config.learner.pretrain, np.random.default_rng([seed, _LEARNER_CHANNEL])
     )
 
 

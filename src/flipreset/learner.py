@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .stream import SourceDistribution
+
 EPS = 1e-12
 
 __all__ = [
@@ -27,7 +29,7 @@ __all__ = [
     "rpl_loss",
     "rpl_grad",
     "sgd_step",
-    "holdout_count",
+    "PretrainConfig",
     "pretrain_source",
     "adapt_batch",
 ]
@@ -249,53 +251,57 @@ def sgd_step(model: ModelState, gradient: np.ndarray, learning_rate: float, mome
     model.theta = model.theta - learning_rate * model.velocity
 
 
-def holdout_count(n: int, fraction: float) -> int:
-    """Samples of ``n`` held out of pretraining: none at ``fraction`` 0, else at least one."""
-    return max(1, int(round(fraction * n))) if fraction > 0 else 0
+@dataclass(frozen=True)
+class PretrainConfig:
+    """Source pretraining: full-batch cross-entropy on ``samples_per_class``
+    samples a class, of which a ``holdout_fraction`` is held out and scored."""
+
+    samples_per_class: int = 500
+    epochs: int = 150
+    learning_rate: float = 0.5
+    holdout_fraction: float = 0.2
+
+    def __post_init__(self) -> None:
+        if self.samples_per_class < 1:
+            raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise ValueError(f"holdout_fraction must lie in [0, 1), got {self.holdout_fraction}")
+
+    def split(self, n_classes: int) -> tuple[int, int]:
+        """The number of samples drawn for ``n_classes`` classes and the number
+        held out of them: none at ``holdout_fraction`` 0, else at least one.
+        Raises ValueError if the holdout leaves none to train on."""
+        n = self.samples_per_class * n_classes
+        n_holdout = max(1, int(round(self.holdout_fraction * n))) if self.holdout_fraction > 0 else 0
+        if n_holdout >= n:
+            raise ValueError(f"holdout_fraction {self.holdout_fraction} leaves none of {n} samples to train on")
+        return n, n_holdout
 
 
 def pretrain_source(
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    epochs: int,
-    learning_rate: float,
-    rng: np.random.Generator,
-    holdout_fraction: float = 0.2,
+    source: SourceDistribution, settings: PretrainConfig, rng: np.random.Generator
 ) -> tuple[ModelState, float]:
-    """Supervised full-batch cross-entropy training on labeled source data.
+    """Supervised full-batch cross-entropy training on samples of ``source``.
 
     The trained weights are copied into the frozen source snapshot. Returns
-    the model and its holdout accuracy. Raises ``ValueError`` naming the
-    argument for a negative ``epochs``, a ``holdout_fraction`` outside
-    [0, 1) or one that leaves no training sample, ``labels`` that are not
-    one per row of ``features``, and labels that are not integers in
-    [0, ``n_classes``); raises :class:`DivergenceError`, naming the 0-based
-    epoch, once the loss or the weights go non-finite.
+    the model and its holdout accuracy, NaN when nothing is held out. Raises
+    ValueError as :meth:`PretrainConfig.split` does, and
+    :class:`DivergenceError`, naming the 0-based epoch, once the loss or the
+    weights go non-finite.
     """
-    features = _as_batch(features)
-    labels = np.asarray(labels)
-    n = len(features)
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
-    if not 0.0 <= holdout_fraction < 1.0:
-        raise ValueError(f"holdout_fraction must lie in [0, 1), got {holdout_fraction}")
-    n_holdout = holdout_count(n, holdout_fraction)
-    if n_holdout >= n:
-        raise ValueError(f"holdout_fraction {holdout_fraction} leaves none of {n} samples to train on")
-    if labels.shape != (n,):
-        raise ValueError(f"labels must hold one label per row of features ({n}), got shape {labels.shape}")
-    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"labels must be integers in [0, n_classes={n_classes})")
-    labels = labels.astype(np.intp, copy=False)  # uint64 + an intp offset would promote to float
+    n_classes = source.n_classes
+    n, n_holdout = settings.split(n_classes)
+    features, labels = source.sample(n, rng)
     order = rng.permutation(n)
     train_idx, hold_idx = order[n_holdout:], order[:n_holdout]
 
-    model = ModelState.initialize(n_classes, features.shape[1], rng)
+    model = ModelState.initialize(n_classes, source.n_features, rng)
     x_train, y_train = features[train_idx], labels[train_idx]
     at_label = _flat_index(y_train, n_classes)
     one_hot = np.eye(n_classes)[y_train]  # p - one_hot is p[i, y_i] -= 1.0 bit for bit
-    for epoch in range(epochs):
+    for epoch in range(settings.epochs):
         # one softmax pass serves the loss check and, edited in place into
         # dloss/dlogits, the cross-entropy gradient
         p = softmax_forward(model.theta, x_train)
@@ -304,7 +310,7 @@ def pretrain_source(
         if not np.isfinite(p.ravel().take(at_label)).all():
             raise DivergenceError(f"pretraining loss non-finite at epoch {epoch}", step=epoch)
         p -= one_hot
-        model.theta = model.theta - learning_rate * _theta_grad(p, x_train)
+        model.theta = model.theta - settings.learning_rate * _theta_grad(p, x_train)
         if not np.isfinite(model.theta).all():
             raise DivergenceError(f"pretraining weights non-finite at epoch {epoch}", step=epoch)
 

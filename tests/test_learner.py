@@ -11,6 +11,7 @@ from flipreset.learner import (
     DivergenceError,
     EntropyMin,
     ModelState,
+    PretrainConfig,
     RobustPseudoLabel,
     adapt_batch,
     entropy_grad,
@@ -23,6 +24,7 @@ from flipreset.learner import (
     softmax_forward,
 )
 from flipreset.learner import _theta_grad
+from flipreset.stream import SourceDistribution
 
 
 def random_instance(rng, max_classes=4, max_features=5, max_batch=8):
@@ -333,42 +335,37 @@ class TestSgdStep:
             sgd_step(model, np.zeros(5), learning_rate=0.05, momentum=0.9)
 
 
-def two_gaussians(rng, n=400, separation=2.0, sigma=0.5):
-    labels = rng.integers(0, 2, n)
-    means = np.array([[-separation, 0.0], [separation, 0.0]])
-    return means[labels] + sigma * rng.standard_normal((n, 2)), labels
+def pretrain(rng, epochs=5, learning_rate=0.5, separation=4.0, n_classes=2, n_features=2, **settings):
+    """pretrain_source on a ``SourceDistribution`` of the given shape."""
+    source = SourceDistribution(n_classes, n_features, separation)
+    settings = PretrainConfig(epochs=epochs, learning_rate=learning_rate, **{"samples_per_class": 200, **settings})
+    return pretrain_source(source, settings, rng)
 
 
 class TestPretrainSource:
     def test_separable_gaussians_reach_95_percent(self, rng):
-        features, labels = two_gaussians(rng)
-        _, holdout = pretrain_source(features, labels, n_classes=2, epochs=5, learning_rate=0.5, rng=rng)
+        _, holdout = pretrain(rng)
         assert holdout >= 0.95
 
     def test_zero_epochs_leave_theta_at_initialization(self):
-        rng = np.random.default_rng(9)
-        features, labels = two_gaussians(rng)
-        model, _ = pretrain_source(features, labels, n_classes=2, epochs=0, learning_rate=0.5, rng=rng)
-        # replay the rng consumption: same draws for the holdout split and init
+        model, _ = pretrain(np.random.default_rng(9), epochs=0)
+        # replay the rng consumption: same draws for the samples, the holdout split and init
         replay = np.random.default_rng(9)
-        two_gaussians(replay)
-        replay.permutation(len(labels))
+        SourceDistribution(2, 2, 4.0).sample(400, replay)
+        replay.permutation(400)
         expected = 0.01 * replay.standard_normal(2 * 3)
         assert model.theta.tobytes() == expected.tobytes()
 
     def test_shuffled_labels_sit_at_chance(self, rng):
-        n, k = 4000, 4
-        features = rng.normal(0, 1, (n, 6))
-        features[:, 0] += rng.integers(0, k, n)  # structure unrelated to labels below
-        labels = rng.integers(0, k, n)
-        _, holdout = pretrain_source(
-            features, labels, n_classes=k, epochs=30, learning_rate=0.3, rng=rng, holdout_fraction=0.25
+        # classes a millionth apart: the features say nothing of the labels
+        _, holdout = pretrain(
+            rng, epochs=30, learning_rate=0.3, separation=1e-6, n_classes=4, n_features=6,
+            samples_per_class=1000, holdout_fraction=0.25,
         )
-        assert abs(holdout - 1.0 / k) < 0.05
+        assert abs(holdout - 1.0 / 4) < 0.05
 
     def test_source_snapshot_frozen(self, rng):
-        features, labels = two_gaussians(rng)
-        model, _ = pretrain_source(features, labels, n_classes=2, epochs=5, learning_rate=0.5, rng=rng)
+        model, _ = pretrain(rng)
         assert not model.theta_source.flags.writeable
         assert model.theta_source.tobytes() == model.theta.tobytes()
 
@@ -376,14 +373,14 @@ class TestPretrainSource:
         # the reference takes the loss and the gradient from two softmax
         # passes; 404 samples leave 323 to train on, not a multiple of 8
         for k, d, n in [(3, 4, 300), (4, 16, 1600), (4, 16, 404), (9, 16, 900)]:
-            rng = np.random.default_rng(5)
-            labels = rng.integers(0, k, n)
-            features = rng.normal(0, 1, (n, d)) + 1.5 * np.eye(k, d)[labels]
-            model, _ = pretrain_source(features, labels, n_classes=k, epochs=20, learning_rate=0.5, rng=rng)
+            model, _ = pretrain(
+                np.random.default_rng(5), epochs=20, separation=1.5, n_classes=k, n_features=d,
+                samples_per_class=n // k,
+            )
 
             replay = np.random.default_rng(5)
-            replay.integers(0, k, n)
-            replay.normal(0, 1, (n, d))
+            labels = replay.integers(0, k, n)
+            features = 1.5 * np.eye(k, d)[labels] + replay.standard_normal((n, d))
             order = replay.permutation(n)
             train = order[int(round(0.2 * n)) :]
             x, y = features[train], labels[train]
@@ -407,47 +404,20 @@ class TestPretrainSource:
             ({"holdout_fraction": -0.5}, r"holdout_fraction must lie in \[0, 1\)"),
         ],
     )
-    def test_out_of_range_arguments_rejected(self, rng, change, match):
-        features, labels = two_gaussians(rng)
-        kwargs = {"epochs": 3, "learning_rate": 0.5, "rng": rng, **change}
+    def test_out_of_range_arguments_rejected(self, change, match):
         with pytest.raises(ValueError, match=match):
-            pretrain_source(features, labels, n_classes=2, **kwargs)
+            PretrainConfig(**change)
 
     def test_holdout_that_leaves_no_training_sample_rejected(self, rng):
-        features, labels = two_gaussians(rng, n=2)
-        with pytest.raises(ValueError, match="holdout_fraction 0.9 leaves none of 2"):
-            pretrain_source(features, labels, n_classes=2, epochs=3, learning_rate=0.5, rng=rng, holdout_fraction=0.9)
-
-    def test_labels_not_one_per_row_rejected(self, rng):
-        features, labels = two_gaussians(rng)
-        with pytest.raises(ValueError, match=r"labels must hold one label per row of features \(400\)"):
-            pretrain_source(features, labels[:-1], n_classes=2, epochs=3, learning_rate=0.5, rng=rng)
-
-    @pytest.mark.parametrize("bad", [2, -1, 0.5])
-    def test_labels_outside_the_classes_rejected(self, rng, bad):
-        # a flat gather would read a neighbouring entry for these
-        features, labels = two_gaussians(rng)
-        labels = labels.astype(type(bad))
-        labels[7] = bad
-        with pytest.raises(ValueError, match=r"labels must be integers in \[0, n_classes=2\)"):
-            pretrain_source(features, labels, n_classes=2, epochs=3, learning_rate=0.5, rng=rng)
-
-    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
-    def test_any_integer_label_dtype_trains_alike(self, dtype):
-        features, labels = two_gaussians(np.random.default_rng(3))
-        runs = [
-            pretrain_source(features, y, n_classes=2, epochs=5, learning_rate=0.5, rng=np.random.default_rng(4))
-            for y in (labels, labels.astype(dtype))
-        ]
-        assert runs[0][0].theta.tobytes() == runs[1][0].theta.tobytes()
-        assert runs[0][1] == runs[1][1]
+        with pytest.raises(ValueError, match="holdout_fraction 0.9 leaves none of 2 samples to train on"):
+            pretrain(rng, samples_per_class=1, holdout_fraction=0.9)
+        assert PretrainConfig(samples_per_class=1, holdout_fraction=0.5).split(2) == (2, 1)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_raises(self, rng):
-        features, labels = two_gaussians(rng)
-        features = features * 1e200  # overflow the logits after the first step
-        with pytest.raises(DivergenceError) as excinfo:
-            pretrain_source(features, labels, n_classes=2, epochs=3, learning_rate=1e30, rng=rng)
+        # the first step's weights overflow the logits of the second
+        with pytest.raises(DivergenceError, match="pretraining loss non-finite at epoch 1") as excinfo:
+            pretrain(rng, epochs=3, learning_rate=1e30, separation=1e200)
         assert excinfo.value.step == 1
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -455,9 +425,8 @@ class TestPretrainSource:
     def test_weights_overflowing_in_a_step_raise(self, rng, epochs):
         # the loss is finite, but the first step takes the weights to inf,
         # which the holdout or the next epoch would feed to softmax_forward
-        features, labels = two_gaussians(rng)
         with pytest.raises(DivergenceError, match="pretraining weights non-finite at epoch 0") as excinfo:
-            pretrain_source(features * 1e300, labels, n_classes=2, epochs=epochs, learning_rate=1e300, rng=rng)
+            pretrain(rng, epochs=epochs, learning_rate=1e300, separation=1e300)
         assert excinfo.value.step == 0
 
 
