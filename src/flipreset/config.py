@@ -20,7 +20,7 @@ import numpy as np
 
 from .learner import AdaptLoss, EntropyMin, PretrainConfig, RobustPseudoLabel
 from .policy import POLICY_KINDS, NoReset, RandomTiming, ResetPolicy, TriggerConfig
-from .stream import MAX_HORIZON, CorruptionKind, Domain, DomainSchedule, SourceDistribution, Transition
+from .stream import CorruptionKind, Domain, DomainSchedule, SourceDistribution, Transition
 
 __all__ = [
     "ConfigError",
@@ -38,6 +38,21 @@ class ConfigError(ValueError):
     """Invalid or missing configuration."""
 
 
+# the most float64 values (128 MiB) of any one array that a config sizes:
+# the class means, a batch, the pretraining samples and the run log
+MAX_ARRAY_VALUES = 2**24
+# the run log's float64 values per batch, one per LogRow field
+LOG_VALUES_PER_BATCH = 10
+
+
+def _check_array(names: str, *sizes: int) -> None:
+    """Raise ConfigError, naming the keys, if an array of ``sizes``, the
+    values of the keys ``names``, would hold more than MAX_ARRAY_VALUES."""
+    if math.prod(sizes) > MAX_ARRAY_VALUES:
+        got = " x ".join(map(str, sizes))
+        raise ConfigError(f"{names} must be at most {MAX_ARRAY_VALUES} float64 values, got {got}")
+
+
 @dataclass(frozen=True)
 class StreamConfig:
     num_domains: int = 100
@@ -49,15 +64,19 @@ class StreamConfig:
     domains: tuple[Domain, ...] | None = None  # explicit schedule, given instead of num_domains
 
     def __post_init__(self) -> None:
+        _check_array("stream.n_classes x stream.n_features", self.n_classes, self.n_features)
         # build the stream's domain objects now, so that a bad stream is a
         # config error and not a failure at the first batch
         self.source
         if self.num_domains < 1:
             raise ValueError("num_domains must be >= 1")
+        if self.horizon * LOG_VALUES_PER_BATCH > MAX_ARRAY_VALUES:
+            raise ValueError(
+                f"domains x batches_per_domain must be at most {MAX_ARRAY_VALUES // LOG_VALUES_PER_BATCH} "
+                f"batches, a run log of {LOG_VALUES_PER_BATCH} float64 values each, got {shown(self.horizon)}"
+            )
         probe = (Domain(CorruptionKind.MEAN_SHIFT, 0.0),) if self.domains is None else self.domains[:1]
         DomainSchedule(probe, self.batches_per_domain, self.transition, seed=0)
-        if self.horizon > MAX_HORIZON:
-            raise ValueError(f"domains x batches_per_domain must be < 2**32 batches, got {shown(self.horizon)}")
 
     @property
     def horizon(self) -> int:
@@ -108,22 +127,14 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-negative")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
-        # numpy shapes no float64 array of more bytes than an intp counts
-        most, features = np.iinfo(np.intp).max // 8, self.stream.n_features
-        if self.batch_size * features > most:
-            raise ConfigError(
-                f"batch_size x stream.n_features must be at most {most} float64 values, "
-                f"got {self.batch_size} x {features}"
-            )
-        pre = self.learner.pretrain
-        n = pre.samples_per_class * self.stream.n_classes
-        if n * features > most:
-            raise ConfigError(
-                f"learner.pretrain.samples_per_class x stream.n_classes x stream.n_features must be at most "
-                f"{most} float64 values, got {pre.samples_per_class} x {self.stream.n_classes} x {features}"
-            )
+        pre, stream = self.learner.pretrain, self.stream
+        _check_array("batch_size x stream.n_features", self.batch_size, stream.n_features)
+        _check_array(
+            "learner.pretrain.samples_per_class x stream.n_classes x stream.n_features",
+            pre.samples_per_class, stream.n_classes, stream.n_features,
+        )
         try:
-            pre.split(self.stream.n_classes)
+            pre.split(stream.n_classes)
         except ValueError as exc:
             raise ConfigError(f"learner.pretrain.{exc}") from None
         # a preset reset time past the stream's end would never fire

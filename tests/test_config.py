@@ -2,14 +2,15 @@
 or rejected with exit code 1 and a message naming the bad key."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flipreset.cli import main
-from flipreset.config import ConfigError, ExperimentConfig, config_from_dict
-from flipreset.harness import run_experiment
+from flipreset.config import LOG_VALUES_PER_BATCH, MAX_ARRAY_VALUES, ConfigError, ExperimentConfig, config_from_dict
+from flipreset.harness import LogRow, run_experiment
 from flipreset.learner import DivergenceError
 from flipreset.policy import POLICY_KINDS
 from flipreset.stream import CorruptionKind
@@ -39,8 +40,8 @@ MALFORMED = [
     # the means' distance underflows to 0, so the direction is not finite either
     (("stream", "class_separation"), 1e-170, "class_separation 1e-170"),
     (("stream", "num_domains"), 0, "num_domains"),
-    # 2 domains: 2**32 batches, one more index than a batch seed's 32-bit word holds
-    (("stream", "batches_per_domain"), 2**31, "domains x batches_per_domain must be < 2**32"),
+    # 2 domains: 2**32 batches, past the run log's 2**24 float64 values
+    (("stream", "batches_per_domain"), 2**31, "domains x batches_per_domain must be at most 1677721 batches"),
     (("policy",), {"kind": "hard_reset", "force_lambda": 0.5}, "force_lambda"),
     (("policy",), {"kind": "abr", "trigger": {"beta": 1e-6}}, "trigger"),
     (("policy",), {"kind": "reset_sometimes"}, "kind"),
@@ -75,9 +76,26 @@ MALFORMED = [
     (("stream", "class_separation"), 2**53 + 1, "class_separation must be a number that a float64 holds exactly, got 9007199254740993"),
     # past the largest float64, and quoted as given rather than as inf
     (("learner", "learning_rate"), 10**400, f"learner.learning_rate must be a number that a float64 holds exactly, got {10**400}"),
-    # arrays whose shape numpy refuses: more bytes than an intp counts
+    # arrays past 2**24 float64 values, among them shapes that numpy refuses
     (("batch_size",), 10**20, "batch_size x stream.n_features must be at most"),
     (("learner", "pretrain", "samples_per_class"), 10**20, "learner.pretrain.samples_per_class x stream.n_classes"),
+    (
+        ("stream", "n_features"),
+        10**12,
+        "stream.n_classes x stream.n_features must be at most 16777216 float64 values, got 4 x 1000000000000",
+    ),
+    (("batch_size",), 10**12, "batch_size x stream.n_features must be at most 16777216 float64 values, got 1000000000000 x 16"),
+    (
+        ("learner", "pretrain", "samples_per_class"),
+        10**12,
+        "learner.pretrain.samples_per_class x stream.n_classes x stream.n_features must be at most "
+        "16777216 float64 values, got 1000000000000 x 4 x 16",
+    ),
+    (
+        ("stream",),
+        {"num_domains": 10, "batches_per_domain": 10**7},
+        "domains x batches_per_domain must be at most 1677721 batches, a run log of 10 float64 values each, got 100000000",
+    ),
 ]
 
 
@@ -100,6 +118,15 @@ def test_integer_past_the_digit_limit_is_named(key):
     # no JSON file holds such an integer, but a dict given in Python may
     with pytest.raises(ConfigError, match=f"^stream.{key} must have at most 4300 digits, got an integer of 5001 digits$"):
         config_from_dict({"stream": {key: 10**5000}})
+
+
+def test_horizon_cap_sizes_the_run_log():
+    # the run log, one float64 a LogRow field a batch, fits the array cap
+    cap = MAX_ARRAY_VALUES // LOG_VALUES_PER_BATCH
+    assert LOG_VALUES_PER_BATCH == len(dataclasses.fields(LogRow))
+    assert config_from_dict({"stream": {"num_domains": 1, "batches_per_domain": cap}}).stream.horizon == cap
+    with pytest.raises(ConfigError, match=f"^stream: domains x batches_per_domain must be at most {cap} batches"):
+        config_from_dict({"stream": {"num_domains": 1, "batches_per_domain": cap + 1}})
 
 
 def test_holdout_must_leave_a_training_sample():
@@ -205,6 +232,11 @@ def cut_to_two_batches(d: dict) -> dict:
 @given(CONFIGS)
 # pretraining's first step takes the weights to inf at a finite loss
 @example({"stream": {"class_separation": 1e300}, "learner": {"pretrain": {"learning_rate": 1e300, "epochs": 2}}})
+# arrays of gigabytes: a batch, the class means (3.9 GiB), and class means
+# past the memory of a small machine (8.1 GiB)
+@example({"batch_size": 3083101719})
+@example({"stream": {"n_features": 130311703}})
+@example({"stream": {"n_features": 272918039}})
 def test_any_accepted_config_runs_or_diverges(d):
     try:
         config_from_dict(d)
