@@ -444,13 +444,26 @@ def export_log(log: ExperimentLog, path: str | Path) -> Path:
     return path
 
 
+def _numbered(chunk: list[str], read: int) -> list[tuple[int, str]]:
+    """The non-blank lines of ``chunk``, read after the file's first ``read``
+    lines, each with its 1-based line number in the file."""
+    return [(read + i, line) for i, line in enumerate(chunk, 1) if line != "\n"]
+
+
+def _not_json(path, where: str, exc: ValueError) -> ValueError:
+    """The error for the line ``where`` names, which ``exc`` failed to decode."""
+    if isinstance(exc, json.JSONDecodeError):  # its own line and column count within the line
+        exc = f"{exc.msg} at column {exc.pos + 1}"
+    return ValueError(f"{path}: {where} is not readable JSON: {exc}")
+
+
 def import_log_jsonl(path: str | Path) -> ExperimentLog:
     """Inverse of the JSON-lines export; field-for-field round trip.
 
     Raises ValueError naming the file if the meta line is not an object of
     the keys and values that the export writes, if a row line, named by its
-    number, is not an object of exactly the log's keys, or if a row breaks a
-    rule of :func:`_block`.
+    number, is not one JSON object of exactly the log's keys, or if a row
+    breaks a rule of :func:`_block`.
     """
     with open(path, encoding="utf-8") as fh:
         # newlines read as "\n"; blank lines are skipped, but counted in
@@ -460,7 +473,10 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
                 break
         else:
             raise ValueError(f"{path}: empty log file")
-        meta = json.loads(first)
+        try:
+            meta = json.loads(first)
+        except ValueError as exc:
+            raise _not_json(path, "the meta line", exc) from None
         if type(meta) is not dict or meta.keys() != _META.keys():
             raise ValueError(f"{path}: the meta line must be an object of exactly the keys {', '.join(_META)}")
         for key, (valid, kind) in _META.items():
@@ -473,12 +489,17 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
             # one decode per chunk of lines, transposed into columns
             try:
                 rows = decode("[" + ",".join(texts) + "]")
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or an integer past Python's digit limit
                 rows = []
             if len(rows) != len(texts):
-                # one line is one row: decoding the lines one at a time raises
-                # at the first that is not exactly one JSON value
-                rows = list(map(decode, texts))
+                # one line is one row: decode the lines one at a time, up to
+                # the first that is not exactly one JSON value
+                rows = []
+                for n, line in _numbered(chunk, read):
+                    try:
+                        rows.append(decode(line))
+                    except ValueError as exc:
+                        raise _not_json(path, f"line {n}", exc) from None
             # each row an object holding every key of the log, and the chunk
             # ten keys a row in all, so that no row holds another key
             try:
@@ -487,8 +508,8 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
                 values = []
             if len(values) != len(rows) or sum(map(len, rows)) != len(_COLUMNS) * len(rows):
                 keys = set(_COLUMNS.values())
-                numbers = [read + i for i, line in enumerate(chunk, 1) if line != "\n"]
-                n = next(n for n, row in zip(numbers, rows) if type(row) is not dict or row.keys() != keys)
+                lines = _numbered(chunk, read)
+                n = next(n for (n, _), row in zip(lines, rows) if type(row) is not dict or row.keys() != keys)
                 raise ValueError(f"{path}: line {n} must be an object of exactly the keys {CSV_HEADER}")
             try:
                 blocks.append(_block(list(zip(*values))))

@@ -456,13 +456,19 @@ class TestExport:
         ('{"policy": "abr", "seed": 3}', "meta line must be an object of exactly the keys policy, seed, aborted_at"),
         ('{"policy": "abr", "seed": 3, "aborted_at": null, "note": 1}', "meta line must be an object of exactly the keys"),
         ('["abr", 3, null]', "meta line must be an object of exactly the keys"),
+        ('{"policy": "abr", "seed": 3, "aborted_at": nul', "meta line is not readable JSON: Expecting value at column 44"),
+        (
+            '{"policy": "abr", "seed": ' + "1" * 5001 + ', "aborted_at": null}',
+            "meta line is not readable JSON: Exceeds the limit (4300 digits) for integer string conversion",
+        ),
     ]
 
     @pytest.mark.parametrize(
         ("line", "named"),
         BAD_META,
         ids=["seed a string", "seed a fraction", "seed true", "seed -1", "policy a number",
-             "aborted_at a string", "aborted_at 0", "missing key", "extra key", "a list"],
+             "aborted_at a string", "aborted_at 0", "missing key", "extra key", "a list", "truncated",
+             "seed past the digit limit"],
     )
     def test_jsonl_import_rejects_a_bad_meta_line(self, tmp_path, line, named):
         path = export_log(make_log([0.5, 0.25]), tmp_path / "log.jsonl")
@@ -518,16 +524,29 @@ class TestExport:
         with pytest.raises(ValueError, match="log.jsonl: non-finite value in the log row at t=1"):
             import_log_jsonl(path)
 
-    @pytest.mark.parametrize("joint", [", ", ",\n"], ids=["two rows on a line", "a row on two lines"])
-    def test_jsonl_import_reads_one_row_per_line(self, tmp_path, joint):
+    # how the row lines are changed, and what the error names: the file's
+    # line, counting the meta line, and the column within it
+    @pytest.mark.parametrize(
+        ("change", "named"),
+        [
+            (lambda rows: [", ".join(rows[:2]), *rows[2:]], "line 2 is not readable JSON: Extra data at column 146"),
+            (
+                lambda rows: [rows[0], rows[1].replace(", ", ",\n", 1), *rows[2:]],
+                "line 3 is not readable JSON: Expecting property name enclosed in double quotes at column 10",
+            ),
+            (lambda rows: [rows[0], rows[1][:140], *rows[2:]], "line 3 is not readable JSON: Expecting value at column 142"),
+            (
+                lambda rows: [rows[0], rows[1].replace('"t": 2', '"t": ' + "1" * 5001), *rows[2:]],
+                "line 3 is not readable JSON: Exceeds the limit (4300 digits) for integer string conversion",
+            ),
+        ],
+        ids=["two rows on a line", "a row on two lines", "a truncated row", "an integer past the digit limit"],
+    )
+    def test_jsonl_import_reads_one_row_per_line(self, tmp_path, change, named):
         path = export_log(make_log([0.5, 0.25, 1.0]), tmp_path / "log.jsonl")
         meta, *rows = path.read_text().splitlines()
-        if joint == ", ":
-            rows[:2] = [joint.join(rows[:2])]
-        else:
-            rows[1] = rows[1].replace(", ", joint, 1)
-        path.write_text("\n".join([meta, *rows]) + "\n")
-        with pytest.raises(json.JSONDecodeError):
+        path.write_text("\n".join([meta, *change(rows)]) + "\n")
+        with pytest.raises(ValueError, match=f"log.jsonl: {re.escape(named)}"):
             import_log_jsonl(path)
 
     @pytest.mark.parametrize("text", ["", "\n\n"])
