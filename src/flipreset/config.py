@@ -46,10 +46,10 @@ LOG_VALUES_PER_BATCH = 10
 
 
 def _check_array(names: str, *sizes: int) -> None:
-    """Raise ConfigError, naming the keys, if an array of ``sizes``, the
-    values of the keys ``names``, would hold more than MAX_ARRAY_VALUES."""
+    """Raise ConfigError, naming the keys ``names``, if an array of shape
+    ``sizes``, their values, would hold more than MAX_ARRAY_VALUES values."""
     if math.prod(sizes) > MAX_ARRAY_VALUES:
-        got = " x ".join(map(str, sizes))
+        got = " x ".join(map(shown, sizes))
         raise ConfigError(f"{names} must be at most {MAX_ARRAY_VALUES} float64 values, got {got}")
 
 
