@@ -232,8 +232,8 @@ def cut_to_two_batches(d: dict) -> dict:
 @given(CONFIGS)
 # pretraining's first step takes the weights to inf at a finite loss
 @example({"stream": {"class_separation": 1e300}, "learner": {"pretrain": {"learning_rate": 1e300, "epochs": 2}}})
-# arrays of gigabytes: a batch, the class means (3.9 GiB), and class means
-# past the memory of a small machine (8.1 GiB)
+# drawn configs that loaded and then failed to allocate: a batch of 367 GiB,
+# and class means of 3.9 GiB and of 8.1 GiB
 @example({"batch_size": 3083101719})
 @example({"stream": {"n_features": 130311703}})
 @example({"stream": {"n_features": 272918039}})

@@ -335,11 +335,11 @@ class TestSgdStep:
             sgd_step(model, np.zeros(5), learning_rate=0.05, momentum=0.9)
 
 
-def pretrain(rng, epochs=5, learning_rate=0.5, separation=4.0, n_classes=2, n_features=2, **settings):
-    """pretrain_source on a ``SourceDistribution`` of the given shape."""
-    source = SourceDistribution(n_classes, n_features, separation)
-    settings = PretrainConfig(epochs=epochs, learning_rate=learning_rate, **{"samples_per_class": 200, **settings})
-    return pretrain_source(source, settings, rng)
+def pretrain(rng, separation=4.0, n_classes=2, n_features=2, **settings):
+    """pretrain_source on a ``SourceDistribution`` of the given shape, with
+    200 samples a class and 5 epochs unless ``settings`` gives others."""
+    settings = PretrainConfig(**{"samples_per_class": 200, "epochs": 5, **settings})
+    return pretrain_source(SourceDistribution(n_classes, n_features, separation), settings, rng)
 
 
 class TestPretrainSource:
