@@ -41,14 +41,13 @@ class ConfigError(ValueError):
 # the most float64 values (128 MiB) of any one array that a config sizes:
 # the class means, a batch, the pretraining samples and the run log
 MAX_ARRAY_VALUES = 2**24
-# the run log's float64 values per batch, one per LogRow field
-LOG_VALUES_PER_BATCH = 10
 
 
 def _check_array(names: str, *sizes: int) -> None:
     """Raise ConfigError, naming the keys ``names``, if an array of shape
-    ``sizes``, their values, would hold more than MAX_ARRAY_VALUES values."""
-    if math.prod(sizes) > MAX_ARRAY_VALUES:
+    ``sizes``, their values, would hold more than MAX_ARRAY_VALUES values.
+    A negative size counts as 0, so that its own range check names it."""
+    if math.prod(max(size, 0) for size in sizes) > MAX_ARRAY_VALUES:
         got = " x ".join(map(shown, sizes))
         raise ConfigError(f"{names} must be at most {MAX_ARRAY_VALUES} float64 values, got {got}")
 
@@ -70,11 +69,6 @@ class StreamConfig:
         self.source
         if self.num_domains < 1:
             raise ValueError("num_domains must be >= 1")
-        if self.horizon * LOG_VALUES_PER_BATCH > MAX_ARRAY_VALUES:
-            raise ValueError(
-                f"domains x batches_per_domain must be at most {MAX_ARRAY_VALUES // LOG_VALUES_PER_BATCH} "
-                f"batches, a run log of {LOG_VALUES_PER_BATCH} float64 values each, got {shown(self.horizon)}"
-            )
         probe = (Domain(CorruptionKind.MEAN_SHIFT, 0.0),) if self.domains is None else self.domains[:1]
         DomainSchedule(probe, self.batches_per_domain, self.transition, seed=0)
 
@@ -133,6 +127,14 @@ class ExperimentConfig:
             "learner.pretrain.samples_per_class x stream.n_classes x stream.n_features",
             pre.samples_per_class, stream.n_classes, stream.n_features,
         )
+        from .harness import LogRow  # here, not at the top: harness imports this module
+
+        width = len(dataclasses.fields(LogRow))  # the run log's float64 values per batch
+        if stream.horizon * width > MAX_ARRAY_VALUES:
+            raise ConfigError(
+                f"stream: domains x batches_per_domain must be at most {MAX_ARRAY_VALUES // width} "
+                f"batches, a run log of {width} float64 values each, got {shown(stream.horizon)}"
+            )
         try:
             pre.split(stream.n_classes)
         except ValueError as exc:
@@ -277,21 +279,23 @@ def _parse_stream(value) -> StreamConfig:
     return stream
 
 
+def _parse_learner(value) -> LearnerConfig:
+    return _build(LearnerConfig, value, "learner", pretrain=lambda p: _build(PretrainConfig, p, "learner.pretrain"))
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build a config from a parsed JSON object; raises ConfigError, naming
     the key, on any unknown key or bad value."""
     # a trigger's sample clock is one batch, so batch_size is checked first,
-    # with the stream whose features make up a batch
-    given = {k: v for k, v in _object(d, "config").items() if k in ("batch_size", "stream")}
-    first = _build(ExperimentConfig, given, "config", stream=_parse_stream)
+    # with the stream and the learner whose settings size a run's arrays
+    given = {k: v for k, v in _object(d, "config").items() if k in ("batch_size", "stream", "learner")}
+    first = _build(ExperimentConfig, given, "config", stream=_parse_stream, learner=_parse_learner)
     return _build(
         ExperimentConfig,
         d,
         "config",
         stream=lambda _: first.stream,
-        learner=lambda s: _build(
-            LearnerConfig, s, "learner", pretrain=lambda p: _build(PretrainConfig, p, "learner.pretrain")
-        ),
+        learner=lambda _: first.learner,
         policy=lambda p: parse_policy(p, first.batch_size),
         policies=lambda ps: {
             name: parse_policy(p, first.batch_size, f"policies.{name}")

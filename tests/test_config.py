@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flipreset.cli import main
-from flipreset.config import LOG_VALUES_PER_BATCH, MAX_ARRAY_VALUES, ConfigError, ExperimentConfig, config_from_dict
+from flipreset.config import MAX_ARRAY_VALUES, ConfigError, ExperimentConfig, config_from_dict
 from flipreset.harness import LogRow, run_experiment
 from flipreset.learner import DivergenceError
 from flipreset.policy import POLICY_KINDS
@@ -96,6 +96,8 @@ MALFORMED = [
         {"num_domains": 10, "batches_per_domain": 10**7},
         "domains x batches_per_domain must be at most 1677721 batches, a run log of 10 float64 values each, got 100000000",
     ),
+    # negative sizes are named by their own range check, not the array cap
+    (("stream",), {"n_classes": -5000, "n_features": -5000}, "stream: need >= 2 classes"),
 ]
 
 
@@ -122,11 +124,19 @@ def test_integer_past_the_digit_limit_is_named(key):
 
 def test_horizon_cap_sizes_the_run_log():
     # the run log, one float64 a LogRow field a batch, fits the array cap
-    cap = MAX_ARRAY_VALUES // LOG_VALUES_PER_BATCH
-    assert LOG_VALUES_PER_BATCH == len(dataclasses.fields(LogRow))
+    cap = MAX_ARRAY_VALUES // len(dataclasses.fields(LogRow))
     assert config_from_dict({"stream": {"num_domains": 1, "batches_per_domain": cap}}).stream.horizon == cap
     with pytest.raises(ConfigError, match=f"^stream: domains x batches_per_domain must be at most {cap} batches"):
         config_from_dict({"stream": {"num_domains": 1, "batches_per_domain": cap + 1}})
+
+
+def test_pretraining_cap_reads_the_configs_own_pretraining():
+    # 100 x 2 x 20000 = 4e6 values fit the cap; the default 500 samples a class would not
+    stream = {"n_classes": 2, "n_features": 20000}
+    config = config_from_dict({"stream": stream, "learner": {"pretrain": {"samples_per_class": 100}}})
+    assert config.learner.pretrain.samples_per_class == 100
+    with pytest.raises(ConfigError, match="got 1000 x 2 x 20000$"):
+        config_from_dict({"stream": stream, "learner": {"pretrain": {"samples_per_class": 1000}}})
 
 
 def test_holdout_must_leave_a_training_sample():
