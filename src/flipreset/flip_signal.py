@@ -23,26 +23,46 @@ def observe_batch(prev, curr, normalize: bool = True) -> float:
     arrays over identical samples in identical order. The score sums
     flipped samples' ``conf_curr * (conf_curr - conf_prev)``; when
     ``normalize`` is set the sum is divided by the batch size so the
-    trajectory is comparable across batch sizes.
+    trajectory is comparable across batch sizes. Raises ValueError, naming
+    the argument at fault, unless all four arrays are 1-D of one nonzero
+    length and both confidences lie in [0, 1].
     """
-    prev_classes = np.asarray(prev.classes)
-    curr_classes = np.asarray(curr.classes)
-    if prev_classes.shape != curr_classes.shape:
-        raise ValueError(
-            f"prediction sets cover different sample counts: "
-            f"{prev_classes.shape[0]} vs {curr_classes.shape[0]}"
-        )
-    n = prev_classes.size
-    if n == 0:
-        raise ValueError("empty batch")
+    prev_classes, curr_classes = np.asarray(prev.classes), np.asarray(curr.classes)
     conf_curr = np.asarray(curr.confidence, dtype=float)
     conf_prev = np.asarray(prev.confidence, dtype=float)
-    for name, conf in (("conf_curr", conf_curr), ("conf_prev", conf_prev)):
-        # nan fails both comparisons, so this also rejects non-finite values
-        if not (conf.min() >= 0.0 and conf.max() <= 1.0):
-            raise ValueError(f"{name} outside [0, 1]")
-    raw = float(((prev_classes != curr_classes) * conf_curr * (conf_curr - conf_prev)).sum())
-    return raw / n if normalize else raw
+    shape = prev_classes.shape
+    if not (len(shape) == 1 and curr_classes.shape == conf_curr.shape == conf_prev.shape == shape):
+        raise _shape_fault(prev_classes, curr_classes, conf_curr, conf_prev)
+    if not shape[0]:
+        raise ValueError("empty batch")
+    # one range test for both confidences, and a second only to name the one at fault
+    if not _within_unit(np.minimum(conf_curr, conf_prev), np.maximum(conf_curr, conf_prev)):
+        raise ValueError(f"{'conf_prev' if _within_unit(conf_curr, conf_curr) else 'conf_curr'} outside [0, 1]")
+    # (flip * conf_curr) * gain, reassociated bit for bit: flip is 0 or 1
+    # and both factors are finite
+    score = conf_curr - conf_prev
+    score *= conf_curr
+    score *= prev_classes != curr_classes
+    raw = float(np.add.reduce(score))
+    return raw / shape[0] if normalize else raw
+
+
+def _within_unit(low: np.ndarray, high: np.ndarray) -> bool:
+    """Whether ``low`` has no entry below 0 and ``high`` none above 1; nan
+    fails both comparisons, so a non-finite entry fails too."""
+    return np.minimum.reduce(low) >= 0.0 and np.maximum.reduce(high) <= 1.0
+
+
+def _shape_fault(prev_classes, curr_classes, conf_curr, conf_prev) -> ValueError:
+    """The error naming the first of the four arrays whose shape is not the
+    1-D shape of ``prev_classes``, or the classes if theirs is not 1-D."""
+    if prev_classes.ndim != 1 or curr_classes.shape != prev_classes.shape:
+        return ValueError(
+            f"prediction sets cover different sample counts: classes must be 1-D of one length, "
+            f"got shapes {prev_classes.shape} (prev) and {curr_classes.shape} (curr)"
+        )
+    name, conf = ("conf_curr", conf_curr) if conf_curr.shape != prev_classes.shape else ("conf_prev", conf_prev)
+    return ValueError(f"{name} has shape {conf.shape}, but the classes have shape {prev_classes.shape}")
 
 
 class FlipSignalState:

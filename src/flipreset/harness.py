@@ -325,35 +325,46 @@ def run_experiment(
     loss, learning_rate, momentum = learner.adapt_loss, learner.learning_rate, learner.momentum
     state = FlipSignalState()
 
-    horizon = config.stream.horizon
+    horizon, batch_size, normalize = config.stream.horizon, config.batch_size, config.normalize_flip
     log = ExperimentLog(policy_name=policy_name, seed=seed, rows=LogColumns(horizon))
     append = log.rows.append
+    nan = math.nan
 
     def diverged(t: int, what: str) -> DivergenceError:
         log.aborted_at = t
         return DivergenceError(f"non-finite {what}", step=t, log=log)
 
     for t in range(1, horizon + 1):
-        batch = sample_batch(schedule, t, source, config.batch_size)
-        if not np.isfinite(batch.features).all():
+        batch = sample_batch(schedule, t, source, batch_size)
+        features, labels = batch.features, batch.labels
+        if not _all_finite(features):
             raise diverged(t, "features")
-        prev_pred, curr_pred = adapt_batch(model, batch.features, loss, learning_rate, momentum)
-        if not np.isfinite(model.theta).all():
+        prev_pred, curr_pred = adapt_batch(model, features, loss, learning_rate, momentum)
+        if not _all_finite(model.theta):
             raise diverged(t, "parameters")
-        if not (np.isfinite(prev_pred.confidence).all() and np.isfinite(curr_pred.confidence).all()):
+        if not (_all_finite(prev_pred.confidence) and _all_finite(curr_pred.confidence)):
             raise diverged(t, "predictions")
-        accuracy = int(np.count_nonzero(curr_pred.classes == batch.labels)) / len(batch.labels)
-        raw = observe_batch(prev_pred, curr_pred, normalize=config.normalize_flip)
+        accuracy = int(np.count_nonzero(curr_pred.classes == labels)) / len(labels)
+        raw = observe_batch(prev_pred, curr_pred, normalize=normalize)
         state.update_ema(raw)
         state.update_min()
         # capture signal values before a reset clears them
         lf_ema, lf_min = state.lf_ema, state.lf_min
         decision = policy_step(policy, state, model)
+        slope, threshold, lam = decision.slope, decision.threshold, decision.lam
+        # None as the NaN that the store keeps for it: a row of numbers
+        # converts without numpy's detour through an object array
         append((
             t, batch.domain_index, accuracy, raw, lf_ema, lf_min,
-            decision.slope, decision.threshold, decision.reinitialize, decision.lam,
+            nan if slope is None else slope, nan if threshold is None else threshold,
+            lam is not None, nan if lam is None else lam,
         ))
     return log
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()``, without the method's Python wrapper."""
+    return np.logical_and.reduce(np.isfinite(a), axis=None)
 
 
 @dataclass

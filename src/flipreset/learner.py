@@ -8,6 +8,7 @@ whole models with one vector operation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,27 +74,20 @@ class RobustPseudoLabel:
 AdaptLoss = EntropyMin | RobustPseudoLabel
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _as_batch(x) -> np.ndarray:
     """``x`` as a C-contiguous 2-D float64 (samples, features) array; any
-    other shape is rejected."""
-    batch = x if type(x) is np.ndarray and x.dtype == np.float64 else np.asarray(x, dtype=float)
+    other shape is rejected. Such an array is returned as it is."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 2 and x.flags.c_contiguous:
+        return x
+    batch = np.asarray(x, dtype=float)
     if batch.ndim != 2:
         raise ValueError(f"a batch must be 2-D (samples, features), got shape {batch.shape}")
     # another layout reaches BLAS through another kernel, whose sums can
     # round differently (a Fortran-ordered batch of 16 features does)
     return batch if batch.flags.c_contiguous else np.ascontiguousarray(batch)
-
-
-def _unpack(theta: np.ndarray, n_features: int) -> tuple[np.ndarray, np.ndarray]:
-    # theta = [W.ravel(), b]; K inferred from the vector length
-    n_classes = theta.size // (n_features + 1)
-    if n_classes * (n_features + 1) != theta.size:
-        raise ValueError(
-            f"theta of size {theta.size} does not factor as K*({n_features}+1)"
-        )
-    w = theta[: n_classes * n_features].reshape(n_classes, n_features)
-    b = theta[n_classes * n_features :]
-    return w, b
 
 
 def softmax_forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -103,48 +97,61 @@ def softmax_forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     gives the bits of the row-major arithmetic.
     """
     batch = _as_batch(x)
-    theta = np.asarray(theta, dtype=float)
-    w, b = _unpack(theta, batch.shape[1])
-    class_major = len(w) < 8
+    if type(theta) is not np.ndarray or theta.dtype is not _FLOAT64:
+        theta = np.asarray(theta, dtype=float)
+    # theta = [W.ravel(), b]; K inferred from the vector length
+    n_features, size = batch.shape[1], theta.size
+    n_classes = size // (n_features + 1)
+    split = n_classes * n_features
+    if split + n_classes != size:
+        raise ValueError(f"theta of size {size} does not factor as K*({n_features}+1)")
+    w = theta[:split].reshape(n_classes, n_features)
+    class_major = n_classes < 8
     # logit overflow gives nan probabilities, for the caller to report; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
+        # ndarray.dot makes the BLAS call that @ makes, without the ufunc machinery
         if class_major:
             # w @ batch.T has the bits of batch @ w.T for few classes only:
             # with 12, a batch of 257 rows already differs
-            zt = w @ batch.T
-            zt += b[:, None]
+            zt = w.dot(batch.T)
+            zt += theta[split:, None]
         else:
-            zt = (batch @ w.T + b).T
+            z = batch.dot(w.T)
+            z += theta[split:]
+            zt = z.T
         # a non-finite input makes every logit it reaches non-finite, so
-        # finite logits clear the inputs without scanning them
-        if not zt.size or not np.isfinite(zt).all():
+        # finite logits clear the inputs without scanning them; and a sum is
+        # finite only if its terms are (one that overflows just costs the scan)
+        if not zt.size or not math.isfinite(np.add.reduce(zt, axis=None)):
             if not (np.isfinite(batch).all() and np.isfinite(theta).all()):
                 raise ValueError("non-finite inputs to softmax_forward")
-        zt -= zt.max(axis=0)  # max is order-free
+        zt -= np.maximum.reduce(zt)  # max is order-free
         np.exp(zt, out=zt)
         if class_major:
             # numpy's row sum adds fewer than 8 entries in order, as these
             # row adds do; the quotient goes straight into the (N, K) result
             p = np.empty(zt.shape[::-1])
-            np.divide(zt, zt.sum(axis=0), out=p.T)
+            np.divide(zt, np.add.reduce(zt), out=p.T)
             return p
         # from 8 entries on numpy's row sum is pairwise
-        p = zt.T
-        p /= p.sum(axis=1, keepdims=True)
+        p = z
+        p /= np.add.reduce(p, axis=1, keepdims=True)
     return p
 
 
 def _flat_index(columns: np.ndarray, n_columns: int) -> np.ndarray:
     """Positions of entry ``columns[i]`` of each row ``i`` in the ``ravel()``
     of a C-contiguous array with ``n_columns`` columns."""
-    return np.arange(0, len(columns) * n_columns, n_columns) + columns
+    index = np.arange(0, len(columns) * n_columns, n_columns)
+    index += columns
+    return index
 
 
 def predict(theta: np.ndarray, batch: np.ndarray) -> Prediction:
     """Argmax class per sample, ties broken toward the lowest class index."""
     p = softmax_forward(theta, batch)
     classes = p.argmax(axis=1)
-    return Prediction(classes=classes, confidence=p.ravel().take(_flat_index(classes, p.shape[1])))
+    return Prediction(classes, p.take(_flat_index(classes, p.shape[1])))
 
 
 def entropy_loss(theta: np.ndarray, batch: np.ndarray) -> float:
@@ -157,11 +164,8 @@ def _theta_grad(gz: np.ndarray, batch: np.ndarray) -> np.ndarray:
     """theta's ``[W.ravel(), b]`` gradient of a batch-mean loss, from its
     per-sample logit gradients ``gz``, which are divided in place."""
     gz /= batch.shape[0]
-    # the rows added in order from +0.0, as gz.sum(axis=0) adds them, in less time
-    bias = np.zeros(gz.shape[1])
-    if len(gz):
-        bias += np.add.accumulate(gz, axis=0)[-1]
-    return np.concatenate([(gz.T @ batch).ravel(), bias])
+    # the bias gradient is gz.sum(axis=0), without the method's wrapper
+    return np.concatenate((gz.T.dot(batch).ravel(), np.add.reduce(gz, axis=0)))
 
 
 def entropy_grad(theta: np.ndarray, batch: np.ndarray) -> np.ndarray:
@@ -175,11 +179,12 @@ def entropy_grad(theta: np.ndarray, batch: np.ndarray) -> np.ndarray:
     # dH/dp, v = -(log(p + EPS) + p / (p + EPS)), then pull back through
     # the softmax Jacobian, p * (v - sum(v * p)); built in place, bit for bit
     v = p + EPS
-    ratio = p / v
+    work = p / v
     np.log(v, out=v)
-    v += ratio
+    v += work
     np.negative(v, out=v)
-    v -= (v * p).sum(axis=1, keepdims=True)
+    np.multiply(v, p, out=work)
+    v -= np.add.reduce(work, axis=1, keepdims=True)
     v *= p
     return _theta_grad(v, batch)
 
@@ -202,10 +207,12 @@ def rpl_grad(theta: np.ndarray, batch: np.ndarray, q: float) -> np.ndarray:
     batch = _as_batch(batch)
     p = softmax_forward(theta, batch)
     at_pseudo = _flat_index(p.argmax(axis=1), p.shape[1])
-    coef = p.ravel().take(at_pseudo) ** q
-    gz = p * coef[:, None]
-    gz.ravel()[at_pseudo] -= coef  # gz is fresh and C-contiguous, so ravel() is a view
-    return _theta_grad(gz, batch)
+    coef = p.take(at_pseudo)
+    coef **= q
+    # p is fresh and C-contiguous, so it becomes the logit gradient in place
+    p *= coef[:, None]
+    p.ravel()[at_pseudo] -= coef
+    return _theta_grad(p, batch)
 
 
 def _frozen_copy(theta: np.ndarray) -> np.ndarray:
@@ -244,11 +251,18 @@ class ModelState:
 
 
 def sgd_step(model: ModelState, gradient: np.ndarray, learning_rate: float, momentum: float) -> None:
-    """velocity <- momentum*velocity + gradient; theta <- theta - learning_rate*velocity."""
+    """velocity <- momentum*velocity + gradient; theta <- theta - learning_rate*velocity.
+
+    The velocity, which the model owns, is updated in place; theta becomes a
+    new array and ``gradient`` is left as it is.
+    """
     if gradient.shape != model.theta.shape:
         raise ValueError("gradient shape does not match theta")
-    model.velocity = momentum * model.velocity + gradient
-    model.theta = model.theta - learning_rate * model.velocity
+    velocity = model.velocity
+    velocity *= momentum
+    velocity += gradient
+    step = learning_rate * velocity
+    model.theta = np.subtract(model.theta, step, out=step)
 
 
 @dataclass(frozen=True)

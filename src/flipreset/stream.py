@@ -132,7 +132,9 @@ class SourceDistribution:
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         labels = rng.integers(0, self.n_classes, size=n)
-        features = self.means[labels] + rng.standard_normal((n, self.n_features))
+        # the class means added into the fresh normals: addition commutes, bit for bit
+        features = rng.standard_normal((n, self.n_features))
+        features += self.means.take(labels, axis=0)
         return features, labels
 
 
@@ -309,7 +311,11 @@ def apply_corruption(
     if severity == 0.0:
         return features
     if kind is CorruptionKind.GAUSSIAN_NOISE:
-        return features + severity * rng.standard_normal(features.shape)
+        # scaled and added into the fresh draw: both operations commute, bit for bit
+        noise = rng.standard_normal(features.shape)
+        noise *= severity
+        noise += features
+        return noise
     if kind is CorruptionKind.FEATURE_ROTATION:
         out = features.copy()
         c, s = math.cos(severity), math.sin(severity)

@@ -1,5 +1,7 @@
 """Flip-score, EMA and running-minimum contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,39 @@ class TestObserveBatch:
     def test_mismatched_counts_rejected(self):
         with pytest.raises(ValueError, match="sample counts"):
             observe_batch(pred([0, 1], [0.5, 0.5]), pred([0], [0.5]))
+
+    def test_classes_of_other_shapes_rejected_by_their_shapes(self):
+        with pytest.raises(ValueError, match=re.escape("shapes (3,) (prev) and (1, 3) (curr)")):
+            observe_batch(pred([0, 1, 1], [0.5] * 3), pred([[1, 1, 0]], [0.9] * 3))
+        with pytest.raises(ValueError, match=re.escape("shapes (1, 3) (prev) and (1, 3) (curr)")):
+            observe_batch(pred([[0, 1, 1]], [0.5] * 3), pred([[1, 1, 0]], [0.9] * 3))
+
+    @pytest.mark.parametrize("field", ["conf_curr", "conf_prev"])
+    @pytest.mark.parametrize("short", [[0.5], [[0.5, 0.5, 0.5]], []])
+    def test_confidences_must_match_the_classes(self, field, short):
+        # a one-element confidence would broadcast over the whole batch
+        conf = {"conf_curr": [0.9, 0.9, 0.9], "conf_prev": [0.5, 0.5, 0.5]}
+        conf[field] = short
+        prev = Prediction(classes=[0, 1, 1], confidence=conf["conf_prev"])
+        curr = Prediction(classes=[1, 1, 0], confidence=conf["conf_curr"])
+        with pytest.raises(ValueError, match=rf"^{field} has shape"):
+            observe_batch(prev, curr)
+
+    def test_list_inputs_accepted(self):
+        prev = Prediction(classes=[0, 1], confidence=[0.6, 0.9])
+        curr = Prediction(classes=[1, 1], confidence=[0.8, 0.7])
+        assert observe_batch(prev, curr) == observe_batch(pred([0, 1], [0.6, 0.9]), pred([1, 1], [0.8, 0.7]))
+
+    @pytest.mark.parametrize("k", [4, 9])
+    def test_score_has_the_bits_of_the_plain_expression(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(200):
+            n = int(rng.integers(1, 100))
+            prev = pred(rng.integers(0, k, n), rng.choice([0.0, -0.0, 0.25, 1.0, *rng.uniform(0, 1, 8)], n))
+            curr = pred(rng.integers(0, k, n), rng.choice([0.0, -0.0, 0.25, 1.0, *rng.uniform(0, 1, 8)], n))
+            flip = prev.classes != curr.classes
+            expected = float((flip * curr.confidence * (curr.confidence - prev.confidence)).sum())
+            assert np.float64(observe_batch(prev, curr, normalize=False)).tobytes() == np.float64(expected).tobytes()
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -192,6 +192,16 @@ class TestRunExperiment:
             assert not model.velocity.any()
             assert rows_equal(shared, run_experiment(cfg, 2, policy=policy))
 
+    def test_runs_on_one_model_share_no_velocity(self):
+        # sgd_step updates the velocity in place, so each run must hold its own
+        cfg = small_config()
+        model, _ = build_model(cfg, 2)
+        first = run_experiment(cfg, 2, model=model)
+        second = run_experiment(cfg, 2, model=model)
+        alone = run_experiment(cfg, 2)
+        assert first.reset_count() and rows_equal(first, alone) and rows_equal(second, alone)
+        assert not model.velocity.any()
+
     def test_given_model_adapts_with_the_configs_settings(self):
         pretrain = {"samples_per_class": 100, "epochs": 60}
         adapting = small_config(learner={"learning_rate": 0.1, "momentum": 0.9, "pretrain": pretrain})

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from flipreset.learner import (
+    EPS,
     DivergenceError,
     EntropyMin,
     ModelState,
@@ -291,8 +292,18 @@ class TestBitwisePins:
             assert pred.classes.tobytes() == p.argmax(axis=1).tobytes()
             assert pred.confidence.tobytes() == p[np.arange(len(p)), pred.classes].tobytes()
 
-    @pytest.mark.parametrize("q", [0.3, 0.8, 1.0])
-    @pytest.mark.parametrize("k", [2, 4, 7, 12])
+    @pytest.mark.parametrize("k", [2, 4, 7, 9, 12])
+    def test_entropy_grad_matches_plain_reference(self, k):
+        for theta, batch in pinned_cases(k, np.random.default_rng(k)):
+            p = softmax_forward(theta, batch)
+            v = -(np.log(p + EPS) + p / (p + EPS))
+            gz = p * (v - (v * p).sum(axis=1, keepdims=True)) / len(p)
+            expected = np.concatenate([(gz.T @ batch).ravel(), gz.sum(axis=0)])
+            assert entropy_grad(theta, batch).tobytes() == expected.tobytes()
+
+    # q 0.5 and 1.0 reach special cases of numpy's ** (square root, identity)
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("k", [2, 4, 7, 9, 12])
     def test_rpl_grad_matches_fancy_index_reference(self, k, q):
         for theta, batch in pinned_cases(k, np.random.default_rng(k)):
             p = softmax_forward(theta, batch)
@@ -333,6 +344,21 @@ class TestSgdStep:
         model = ModelState.initialize(2, 3, rng)
         with pytest.raises(ValueError):
             sgd_step(model, np.zeros(5), learning_rate=0.05, momentum=0.9)
+
+    @pytest.mark.parametrize("k", [4, 9])
+    def test_matches_the_plain_recurrence_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        model = ModelState.initialize(k, 16, rng)
+        theta, velocity = model.theta.copy(), np.zeros_like(model.theta)
+        for _ in range(20):
+            gradient = rng.normal(0, 1, theta.size)
+            kept = gradient.copy()
+            sgd_step(model, gradient, learning_rate=0.05, momentum=0.9)
+            assert gradient.tobytes() == kept.tobytes()
+            velocity = 0.9 * velocity + gradient
+            theta = theta - 0.05 * velocity
+            assert model.velocity.tobytes() == velocity.tobytes()
+            assert model.theta.tobytes() == theta.tobytes()
 
 
 def pretrain(rng, separation=4.0, n_classes=2, n_features=2, **settings):

@@ -203,6 +203,23 @@ class TestCorruptions:
         shifted = apply_corruption(x, CorruptionKind.MEAN_SHIFT, 2.0, rng, SOURCE)
         assert np.allclose(shifted, x + 2.0 * SOURCE.shift_direction, atol=1e-15)
 
+    @pytest.mark.parametrize("kind", list(CorruptionKind))
+    def test_callers_features_left_unchanged(self, kind, rng):
+        x = rng.normal(0, 1, (64, 16))
+        kept = x.copy()
+        out = apply_corruption(x, kind, 0.9, rng, SOURCE)
+        assert x.tobytes() == kept.tobytes()
+        assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("k", [4, 9])
+    def test_gaussian_noise_has_the_bits_of_the_plain_expression(self, k):
+        source = SourceDistribution(k, 16)
+        for seed in range(20):
+            x, _ = source.sample(64, np.random.default_rng([seed, 0]))
+            noisy = apply_corruption(x, CorruptionKind.GAUSSIAN_NOISE, 1.3, np.random.default_rng(seed), source)
+            expected = x + 1.3 * np.random.default_rng(seed).standard_normal(x.shape)
+            assert noisy.tobytes() == expected.tobytes()
+
     def test_shift_direction_crosses_boundary(self):
         v = SOURCE.shift_direction
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -280,6 +297,17 @@ class TestSourceDistribution:
         x, y = SOURCE.sample(100, rng)
         assert x.shape == (100, 16)
         assert set(np.unique(y)) <= set(range(4))
+
+    @pytest.mark.parametrize("k", [4, 9])
+    def test_sample_has_the_bits_of_the_plain_expression(self, k):
+        source = SourceDistribution(k, 16)
+        for seed in range(20):
+            features, labels = source.sample(64, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            expected_labels = rng.integers(0, k, size=64)
+            expected = source.means[expected_labels] + rng.standard_normal((64, 16))
+            assert labels.tobytes() == expected_labels.tobytes()
+            assert features.tobytes() == expected.tobytes()
 
     def test_class_means_separated(self, rng):
         x, y = SOURCE.sample(50000, rng)
