@@ -328,7 +328,6 @@ def run_experiment(
     horizon, batch_size, normalize = config.stream.horizon, config.batch_size, config.normalize_flip
     log = ExperimentLog(policy_name=policy_name, seed=seed, rows=LogColumns(horizon))
     append = log.rows.append
-    nan = math.nan
 
     def diverged(t: int, what: str) -> DivergenceError:
         log.aborted_at = t
@@ -342,22 +341,23 @@ def run_experiment(
         prev_pred, curr_pred = adapt_batch(model, features, loss, learning_rate, momentum)
         if not _all_finite(model.theta):
             raise diverged(t, "parameters")
-        if not (_all_finite(prev_pred.confidence) and _all_finite(curr_pred.confidence)):
-            raise diverged(t, "predictions")
+        try:
+            raw = observe_batch(prev_pred, curr_pred, normalize=normalize)
+        except ValueError:
+            # observe_batch rejects every confidence outside [0, 1], nan and
+            # inf among them, so only its rejection needs the finiteness test
+            if not (_all_finite(prev_pred.confidence) and _all_finite(curr_pred.confidence)):
+                raise diverged(t, "predictions") from None
+            raise
         accuracy = int(np.count_nonzero(curr_pred.classes == labels)) / len(labels)
-        raw = observe_batch(prev_pred, curr_pred, normalize=normalize)
         state.update_ema(raw)
         state.update_min()
         # capture signal values before a reset clears them
         lf_ema, lf_min = state.lf_ema, state.lf_min
         decision = policy_step(policy, state, model)
-        slope, threshold, lam = decision.slope, decision.threshold, decision.lam
-        # None as the NaN that the store keeps for it: a row of numbers
-        # converts without numpy's detour through an object array
         append((
             t, batch.domain_index, accuracy, raw, lf_ema, lf_min,
-            nan if slope is None else slope, nan if threshold is None else threshold,
-            lam is not None, nan if lam is None else lam,
+            decision.slope, decision.threshold, decision.reinitialize, decision.lam,
         ))
     return log
 

@@ -90,6 +90,9 @@ def _as_batch(x) -> np.ndarray:
     return batch if batch.flags.c_contiguous else np.ascontiguousarray(batch)
 
 
+# logit overflow gives nan probabilities, for the caller to report; numpy need
+# not warn (as a decorator the errstate costs half what a with block does)
+@np.errstate(over="ignore", invalid="ignore")
 def softmax_forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities, one row per sample of a batch (max-shifted exp).
 
@@ -107,35 +110,33 @@ def softmax_forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"theta of size {size} does not factor as K*({n_features}+1)")
     w = theta[:split].reshape(n_classes, n_features)
     class_major = n_classes < 8
-    # logit overflow gives nan probabilities, for the caller to report; numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        # ndarray.dot makes the BLAS call that @ makes, without the ufunc machinery
-        if class_major:
-            # w @ batch.T has the bits of batch @ w.T for few classes only:
-            # with 12, a batch of 257 rows already differs
-            zt = w.dot(batch.T)
-            zt += theta[split:, None]
-        else:
-            z = batch.dot(w.T)
-            z += theta[split:]
-            zt = z.T
-        # a non-finite input makes every logit it reaches non-finite, so
-        # finite logits clear the inputs without scanning them; and a sum is
-        # finite only if its terms are (one that overflows just costs the scan)
-        if not zt.size or not math.isfinite(np.add.reduce(zt, axis=None)):
-            if not (np.isfinite(batch).all() and np.isfinite(theta).all()):
-                raise ValueError("non-finite inputs to softmax_forward")
-        zt -= np.maximum.reduce(zt)  # max is order-free
-        np.exp(zt, out=zt)
-        if class_major:
-            # numpy's row sum adds fewer than 8 entries in order, as these
-            # row adds do; the quotient goes straight into the (N, K) result
-            p = np.empty(zt.shape[::-1])
-            np.divide(zt, np.add.reduce(zt), out=p.T)
-            return p
-        # from 8 entries on numpy's row sum is pairwise
-        p = z
-        p /= np.add.reduce(p, axis=1, keepdims=True)
+    # ndarray.dot makes the BLAS call that @ makes, without the ufunc machinery
+    if class_major:
+        # w @ batch.T has the bits of batch @ w.T for few classes only:
+        # with 12, a batch of 257 rows already differs
+        zt = w.dot(batch.T)
+        zt += theta[split:, None]
+    else:
+        z = batch.dot(w.T)
+        z += theta[split:]
+        zt = z.T
+    # a non-finite input makes every logit it reaches non-finite, so
+    # finite logits clear the inputs without scanning them; and a sum is
+    # finite only if its terms are (one that overflows just costs the scan)
+    if not zt.size or not math.isfinite(np.add.reduce(zt, axis=None)):
+        if not (np.isfinite(batch).all() and np.isfinite(theta).all()):
+            raise ValueError("non-finite inputs to softmax_forward")
+    zt -= np.maximum.reduce(zt)  # max is order-free
+    np.exp(zt, out=zt)
+    if class_major:
+        # numpy's row sum adds fewer than 8 entries in order, as these
+        # row adds do; the quotient goes straight into the (N, K) result
+        p = np.empty(zt.shape[::-1])
+        np.divide(zt, np.add.reduce(zt), out=p.T)
+        return p
+    # from 8 entries on numpy's row sum is pairwise
+    p = z
+    p /= np.add.reduce(p, axis=1, keepdims=True)
     return p
 
 

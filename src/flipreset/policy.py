@@ -15,7 +15,6 @@ running minimum faster than a threshold that shrinks as 1/sqrt(elapsed time).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,19 +227,12 @@ def _adaptive_fires(policy: HardReset | BalancedReset, state: FlipSignalState, r
     return _fires(state, rise, policy.trigger)
 
 
-def _at_preset_time(policy: RandomTiming, state: FlipSignalState, rise) -> bool:
-    # times is strictly increasing, so a bisection finds the step or its gap
-    times = policy.times
-    i = bisect_left(times, state.t)
-    return i < len(times) and times[i] == state.t
-
-
 # per policy kind: config-file name, fire rule (policy, state, rise) -> bool,
 # and restore rule (policy, state) -> restore ratio, read only when it fires
 _RULES = {
     NoReset: ("no_reset", lambda p, st, rise: False, None),
     FixedInterval: ("fixed_interval", lambda p, st, rise: st.t >= 1 and st.t % p.period == 0, lambda p, st: 1.0),
-    RandomTiming: ("random_timing", _at_preset_time, lambda p, st: 1.0),
+    RandomTiming: ("random_timing", lambda p, st, rise: st.t in p.times, lambda p, st: 1.0),
     HardReset: ("hard_reset", _adaptive_fires, lambda p, st: 1.0),
     BalancedReset: (
         "abr", _adaptive_fires, lambda p, st: compute_lambda(st) if p.force_lambda is None else p.force_lambda

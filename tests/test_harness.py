@@ -181,26 +181,17 @@ class TestRunExperiment:
 
     def test_shared_model_left_unchanged(self):
         cfg = small_config()
-        model, _ = build_model(cfg, 2)
+        model, _ = build_model(cfg, 3)
         theta = model.theta.tobytes()
-        # neither policy resets at the last of the 100 steps, which would
-        # restore the source weights anyway
-        for policy in (NoReset(), FixedInterval(period=30)):
-            shared = run_experiment(cfg, 2, policy=policy, model=model)
+        # no policy resets at the last of the 100 steps, which would restore
+        # the source weights anyway; the config's abr policy resets during the
+        # run, after sgd_step has updated the velocity in place
+        for policy in (NoReset(), FixedInterval(period=30), cfg.policy):
+            shared = run_experiment(cfg, 3, policy=policy, model=model)
             assert model.theta.tobytes() == theta
             assert model.theta_prev_snapshot.tobytes() == theta
             assert not model.velocity.any()
-            assert rows_equal(shared, run_experiment(cfg, 2, policy=policy))
-
-    def test_runs_on_one_model_share_no_velocity(self):
-        # sgd_step updates the velocity in place, so each run must hold its own
-        cfg = small_config()
-        model, _ = build_model(cfg, 2)
-        first = run_experiment(cfg, 2, model=model)
-        second = run_experiment(cfg, 2, model=model)
-        alone = run_experiment(cfg, 2)
-        assert first.reset_count() and rows_equal(first, alone) and rows_equal(second, alone)
-        assert not model.velocity.any()
+            assert rows_equal(shared, run_experiment(cfg, 3, policy=policy))
 
     def test_given_model_adapts_with_the_configs_settings(self):
         pretrain = {"samples_per_class": 100, "epochs": 60}
