@@ -66,6 +66,7 @@ _row_values = attrgetter(*_COLUMNS)
 _INTS = tuple(i for i, f in enumerate(fields(LogRow)) if f.type == "int")
 _NULLABLE = tuple(i for i, f in enumerate(fields(LogRow)) if f.type.endswith(" | None"))
 _RESET = list(_COLUMNS).index("reset")
+_LAM = list(_COLUMNS).index("lam")
 _NUMBER_TYPES = [(int, np.integer) if i in _INTS else (int, float, np.integer, np.floating) for i in range(len(_COLUMNS))]
 # rows are built, formatted and parsed this many at a time, so that no pass
 # over a long log holds all of it as Python objects or text
@@ -122,6 +123,10 @@ def _broken_rule(cols: list[Sequence]) -> np.ndarray | str:
         return "non-finite value"  # a NaN that is not a None, or an infinity
     if ((block[_RESET] != 0) & (block[_RESET] != 1)).any():
         return "reset other than 0 or 1"
+    # a run logs its restore ratio, in [0, 1], exactly on its reset rows
+    lam = block[_LAM]
+    if not np.where(block[_RESET] != 0, (lam >= 0) & (lam <= 1), np.isnan(lam)).all():
+        return "lambda outside [0, 1] on a reset row or not empty on another"
     return block
 
 
@@ -130,8 +135,9 @@ def _block(cols: list[Sequence]) -> np.ndarray:
     values in field order, NaN for None. Raises ValueError naming the first
     row, by its ``t``, where an int field holds other than an int, a float
     field other than a number (a bool is neither), a required field None, a
-    float is not finite, an integer is one that no float64 holds exactly, or
-    ``reset`` is neither 0 nor 1."""
+    float is not finite, an integer is one that no float64 holds exactly,
+    ``reset`` is neither 0 nor 1, or ``lam`` is not in [0, 1] on a reset row
+    or not None on another."""
     block = _broken_rule(cols)
     if isinstance(block, str):
         # one row at a time, once the whole block is known to break a rule
@@ -244,12 +250,14 @@ class ExperimentLog:
             self.rows = LogColumns.from_rows(self.rows)
 
     def mean_accuracy(self) -> float:
-        return float(np.mean(self.rows.column("accuracy")))
+        """Mean accuracy over the rows; NaN for a log of none."""
+        return _mean(self.rows.column("accuracy"))
 
     def final_window_accuracy(self) -> float:
-        """Mean accuracy over the last 10 % of the rows (at least one row)."""
+        """Mean accuracy over the last 10 % of the rows (at least one row);
+        NaN for a log of none."""
         n = max(1, int(round(0.1 * len(self.rows))))
-        return float(np.mean(self.rows.column("accuracy")[-n:]))
+        return _mean(self.rows.column("accuracy")[-n:])
 
     def reset_count(self) -> int:
         return int(self.rows.column("reset").sum())
@@ -265,6 +273,11 @@ class ExperimentLog:
             "final_accuracy": self.final_window_accuracy(),
             "reset_count": self.reset_count(),
         }
+
+
+def _mean(values: np.ndarray) -> float:
+    """``np.mean(values)``, and NaN without numpy's warning when ``values`` is empty."""
+    return float(np.mean(values)) if len(values) else math.nan
 
 
 def build_schedule(config: ExperimentConfig, seed: int) -> DomainSchedule:
@@ -336,9 +349,15 @@ def run_experiment(
     for t in range(1, horizon + 1):
         batch = sample_batch(schedule, t, source, batch_size)
         features, labels = batch.features, batch.labels
-        if not _all_finite(features):
-            raise diverged(t, "features")
-        prev_pred, curr_pred = adapt_batch(model, features, loss, learning_rate, momentum)
+        try:
+            prev_pred, curr_pred = adapt_batch(model, features, loss, learning_rate, momentum)
+        except ValueError:
+            # softmax_forward rejects non-finite features in the first
+            # prediction, before the model changes, so only its rejection
+            # needs the finiteness test
+            if not _all_finite(features):
+                raise diverged(t, "features") from None
+            raise
         if not _all_finite(model.theta):
             raise diverged(t, "parameters")
         try:

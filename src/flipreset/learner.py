@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,12 +141,19 @@ def softmax_forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return p
 
 
+@lru_cache(maxsize=64)
+def _row_offsets(n_rows: int, n_columns: int) -> np.ndarray:
+    """Read-only positions of each row's first entry in the ``ravel()`` of a
+    C-contiguous (n_rows, n_columns) array."""
+    offsets = np.arange(0, n_rows * n_columns, n_columns)
+    offsets.setflags(write=False)
+    return offsets
+
+
 def _flat_index(columns: np.ndarray, n_columns: int) -> np.ndarray:
     """Positions of entry ``columns[i]`` of each row ``i`` in the ``ravel()``
     of a C-contiguous array with ``n_columns`` columns."""
-    index = np.arange(0, len(columns) * n_columns, n_columns)
-    index += columns
-    return index
+    return _row_offsets(len(columns), n_columns) + columns
 
 
 def predict(theta: np.ndarray, batch: np.ndarray) -> Prediction:
@@ -357,6 +365,7 @@ def adapt_batch(
     """
     prev_pred = predict(model.theta_prev_snapshot, batch)
     curr_pred = predict(model.theta, batch)
-    model.theta_prev_snapshot = model.theta.copy()
+    # sgd_step gives theta a new array and never writes into the old one
+    model.theta_prev_snapshot = model.theta
     sgd_step(model, adapt_gradient(model, batch, loss), learning_rate, momentum)
     return prev_pred, curr_pred

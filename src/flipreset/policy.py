@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +68,7 @@ class TriggerConfig:
             raise ValueError(f"beta {self.beta} overflows the threshold at {self.time_unit_scale} samples per step")
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
+class PolicyDecision(NamedTuple):
     """Per-step verdict. ``lam`` is the restore ratio, present iff re-initializing."""
 
     lam: float | None = None
@@ -264,4 +264,4 @@ def policy_step(
     if lam is not None:
         model.replace_weights(blend_weights(model.theta_source, model.theta, lam))
         state.reset_signal()
-    return PolicyDecision(lam=lam, slope=s, threshold=thr, delta_lf=delta_lf, delta_t=delta_t)
+    return PolicyDecision(lam, s, thr, delta_lf, delta_t)

@@ -3,13 +3,14 @@
 import dataclasses
 import itertools
 import json
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from flipreset import harness
+from flipreset import harness, learner
 from flipreset.config import config_from_dict
 from flipreset.harness import (
     CSV_HEADER,
@@ -158,10 +159,57 @@ class TestRunExperiment:
         assert err.step == err.log.aborted_at == 3
         assert len(err.log.rows) == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_abort_the_run(self, monkeypatch, bad):
+        adapt_batch = harness.adapt_batch
+        steps = itertools.count(1)
+
+        def bad_bias_at_step_3(model, *args):
+            out = adapt_batch(model, *args)
+            if next(steps) == 3:
+                model.theta[-1] = bad
+            return out
+
+        monkeypatch.setattr(harness, "adapt_batch", bad_bias_at_step_3)
+        with pytest.raises(DivergenceError, match="^non-finite parameters$") as excinfo:
+            run_experiment(small_config(), 0)
+        err = excinfo.value
+        assert err.step == err.log.aborted_at == 3
+        assert len(err.log.rows) == 2
+
     def test_a_fault_inside_a_step_propagates_unchanged(self, planted_fault):
         with pytest.raises(ValueError) as excinfo:
             run_experiment(small_config(), 0)
         assert excinfo.value is planted_fault
+
+    def test_a_fault_inside_adapt_batch_on_finite_features_propagates_unchanged(self, monkeypatch):
+        fault = ValueError("planted gradient fault")
+
+        def adapt_gradient(*args):
+            raise fault
+
+        monkeypatch.setattr(learner, "adapt_gradient", adapt_gradient)
+        with pytest.raises(ValueError) as excinfo:
+            run_experiment(small_config(), 0)
+        assert excinfo.value is fault
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_abort_the_run(self, monkeypatch, bad):
+        sample = harness.sample_batch
+
+        def bad_at_step_3(schedule, t, *args):
+            batch = sample(schedule, t, *args)
+            if t == 3:
+                batch.features[5, 7] = bad
+            return batch
+
+        monkeypatch.setattr(harness, "sample_batch", bad_at_step_3)
+        with pytest.raises(DivergenceError, match="^non-finite features$") as excinfo:
+            run_experiment(small_config(), 0)
+        err = excinfo.value
+        assert err.step == err.log.aborted_at == 3
+        assert len(err.log.rows) == 2
+        assert err.log.rows.column("t").tolist() == [1, 2]
 
     def test_explicit_domains_override(self):
         cfg = small_config(
@@ -243,6 +291,26 @@ class TestExperimentLog:
         assert log.final_window_accuracy() == pytest.approx(1.0)
         assert log.reset_count() == 2
         assert log.reset_steps() == [5, 50]
+
+    @pytest.mark.filterwarnings("error")
+    def test_summary_of_a_run_diverged_at_its_first_batch(self, monkeypatch, tmp_path):
+        sample = harness.sample_batch
+
+        def nan_features(*args):
+            batch = sample(*args)
+            batch.features[0, 0] = np.nan
+            return batch
+
+        monkeypatch.setattr(harness, "sample_batch", nan_features)
+        with pytest.raises(DivergenceError) as excinfo:
+            run_experiment(small_config(), 0)
+        log = excinfo.value.log
+        back = import_log_jsonl(export_log(log, tmp_path / "diverged.jsonl"))
+        for empty in (log, back, ExperimentLog("x", 0)):
+            assert len(empty.rows) == 0
+            summary = empty.summary()
+            assert math.isnan(summary["mean_accuracy"]) and math.isnan(summary["final_accuracy"])
+            assert summary["reset_count"] == 0
 
 
 class TestLogColumns:
@@ -498,6 +566,37 @@ class TestExport:
         path.write_text("\n".join([meta, "", *rows]) + "\n")
         with pytest.raises(ValueError, match=f"log.jsonl: line 4 must be an object of exactly the keys {CSV_HEADER}$"):
             import_log_jsonl(path)
+
+    # (row index, lambda) in a log whose second row resets: the reset row
+    # without lambda, lambdas on a row that did not reset, and lambdas
+    # outside [0, 1]
+    BAD_LAMBDAS = [(1, None), (0, 1.0), (0, 0.0), (1, 5.0), (1, -0.5)]
+    LAMBDA_RULE = re.escape("lambda outside [0, 1] on a reset row or not empty on another")
+
+    @pytest.mark.parametrize(("i", "lam"), BAD_LAMBDAS)
+    def test_row_whose_lambda_disagrees_with_its_reset_is_rejected(self, i, lam):
+        rows = make_rows([0.5, 0.25, 1.0], resets={2})
+        rows[i] = dataclasses.replace(rows[i], lam=lam)
+        with pytest.raises(ValueError, match=f"{self.LAMBDA_RULE} in the log row at t={i + 1}$"):
+            ExperimentLog("x", 0, rows=rows)
+
+    @pytest.mark.parametrize(("i", "lam"), BAD_LAMBDAS)
+    def test_jsonl_import_rejects_a_lambda_that_disagrees_with_its_reset(self, tmp_path, i, lam):
+        path = export_log(make_log([0.5, 0.25, 1.0], resets={2}), tmp_path / "log.jsonl")
+        meta, *rows = path.read_text().splitlines()
+        row = json.loads(rows[i])
+        row["lambda"] = lam
+        rows[i] = json.dumps(row)
+        path.write_text("\n".join([meta, *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"log.jsonl: {self.LAMBDA_RULE} in the log row at t={i + 1}$"):
+            import_log_jsonl(path)
+
+    def test_lambdas_at_the_ends_of_the_range_are_accepted(self, tmp_path):
+        rows = make_rows([0.5, 0.25, 1.0], resets={1, 3})
+        rows[0] = dataclasses.replace(rows[0], lam=0.0)
+        log = ExperimentLog("x", 0, rows=rows)
+        assert log.rows.column("lam").tolist()[::2] == [0.0, 1.0]
+        assert rows_equal(import_log_jsonl(export_log(log, tmp_path / "log.jsonl")), log)
 
     def test_jsonl_import_keeps_large_integers_that_floats_hold(self, tmp_path):
         path = export_log(make_log([0.5, 0.25]), tmp_path / "log.jsonl")

@@ -24,7 +24,7 @@ from flipreset.learner import (
     sgd_step,
     softmax_forward,
 )
-from flipreset.learner import _theta_grad
+from flipreset.learner import _flat_index, _row_offsets, _theta_grad
 from flipreset.stream import SourceDistribution
 
 
@@ -192,6 +192,17 @@ class TestPredict:
                     best = j
             assert pred.classes[i] == best
             assert pred.confidence[i] == row[best]
+
+    def test_gather_offsets_are_built_once_per_shape(self, rng):
+        # predictions of one shape share read-only row offsets; each index is new
+        offsets = _row_offsets(20, 3)
+        assert _row_offsets(20, 3) is offsets and not offsets.flags.writeable
+        assert offsets.tolist() == list(range(0, 60, 3))
+        columns = rng.integers(0, 3, 20)
+        index = _flat_index(columns, 3)
+        assert index.flags.writeable and not np.shares_memory(index, offsets)
+        assert index.tolist() == [3 * i + c for i, c in enumerate(columns)]
+        assert offsets.tolist() == list(range(0, 60, 3))
 
 
 class TestEntropyGrad:
@@ -481,6 +492,18 @@ class TestAdaptBatch:
             adapt_batch(model, batch, RobustPseudoLabel(q=0.8), learning_rate=0.05, momentum=0.9)
             assert model.theta_prev_snapshot.tobytes() == end_of_step.tobytes()
             end_of_step = model.theta.copy()
+
+    def test_snapshot_is_the_last_theta_left_unwritten(self, rng):
+        # adapt_batch keeps the weights it adapted as the snapshot, without a
+        # copy: sgd_step must give theta a new array and never write the old one
+        model = ModelState.initialize(3, 4, rng)
+        for loss in (EntropyMin(), RobustPseudoLabel(q=0.8)) * 3:
+            theta, before = model.theta, model.theta.tobytes()
+            adapt_batch(model, rng.normal(0, 1, (8, 4)), loss, learning_rate=0.05, momentum=0.9)
+            assert model.theta_prev_snapshot is theta and theta.tobytes() == before
+            assert model.theta.tobytes() != before
+            assert not np.shares_memory(model.theta, theta)
+            assert not np.shares_memory(model.theta, model.velocity)
 
     def test_source_immutable_across_cycles(self, rng):
         model = ModelState.initialize(3, 4, rng)

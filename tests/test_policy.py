@@ -201,6 +201,13 @@ class TestPolicyDecision:
         assert PolicyDecision(lam=0.0).reinitialize
         assert PolicyDecision(lam=1.0).reinitialize
 
+    def test_fields_defaults_and_immutability(self):
+        decision = PolicyDecision(slope=0.1, delta_t=4)
+        assert PolicyDecision._fields == ("lam", "slope", "threshold", "delta_lf", "delta_t")
+        assert tuple(decision) == (None, 0.1, None, None, 4)
+        with pytest.raises(AttributeError):
+            decision.lam = 1.0
+
 
 class TestPolicyStep:
     def test_no_reset_always_continues(self, rng):
