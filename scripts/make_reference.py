@@ -34,6 +34,10 @@ GOLDEN_RUNS = {
     "bad_timing": ("configs/bad_timing.json", "bad_timing", 0),
     "rpl_hard_reset": ("configs/rpl_ramp.json", "hard_reset", 0),
     "rpl_fixed_interval": ("configs/rpl_ramp.json", "fixed_interval", 0),
+    # K >= 8 runs the softmax row-major; K = 8 with an even batch draws its
+    # labels from raw PCG64 words, K = 10 with an odd one from Generator.integers
+    "k8": ("configs/k8.json", "abr", 0),
+    "k10_odd": ("configs/k10_odd.json", "abr", 0),
 }
 GOLDEN_FORMATS = ("jsonl", "csv")
 
