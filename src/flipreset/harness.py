@@ -65,6 +65,7 @@ LOG_FORMATS = (".csv", ".jsonl")
 _row_values = attrgetter(*_COLUMNS)
 _INTS = tuple(i for i, f in enumerate(fields(LogRow)) if f.type == "int")
 _NULLABLE = tuple(i for i, f in enumerate(fields(LogRow)) if f.type.endswith(" | None"))
+_ACCURACY = list(_COLUMNS).index("accuracy")
 _RESET = list(_COLUMNS).index("reset")
 _LAM = list(_COLUMNS).index("lam")
 _NUMBER_TYPES = [(int, np.integer) if i in _INTS else (int, float, np.integer, np.floating) for i in range(len(_COLUMNS))]
@@ -123,6 +124,10 @@ def _broken_rule(cols: list[Sequence]) -> np.ndarray | str:
         return "non-finite value"  # a NaN that is not a None, or an infinity
     if ((block[_RESET] != 0) & (block[_RESET] != 1)).any():
         return "reset other than 0 or 1"
+    # a run logs the share of a batch it classified right
+    accuracy = block[_ACCURACY]
+    if ((accuracy < 0) | (accuracy > 1)).any():
+        return "accuracy outside [0, 1]"
     # a run logs its restore ratio, in [0, 1], exactly on its reset rows
     lam = block[_LAM]
     if not np.where(block[_RESET] != 0, (lam >= 0) & (lam <= 1), np.isnan(lam)).all():
@@ -136,8 +141,8 @@ def _block(cols: list[Sequence]) -> np.ndarray:
     row, by its ``t``, where an int field holds other than an int, a float
     field other than a number (a bool is neither), a required field None, a
     float is not finite, an integer is one that no float64 holds exactly,
-    ``reset`` is neither 0 nor 1, or ``lam`` is not in [0, 1] on a reset row
-    or not None on another."""
+    ``reset`` is neither 0 nor 1, ``accuracy`` is not in [0, 1], or ``lam``
+    is not in [0, 1] on a reset row or not None on another."""
     block = _broken_rule(cols)
     if isinstance(block, str):
         # one row at a time, once the whole block is known to break a rule
@@ -492,8 +497,9 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
 
     Raises ValueError naming the file if the meta line is not an object of
     the keys and values that the export writes, if a row line, named by its
-    number, is not one JSON object of exactly the log's keys, or if a row
-    breaks a rule of :func:`_block`.
+    number, is not one JSON object of exactly the log's keys, if a row
+    breaks a rule of :func:`_block`, or if ``aborted_at`` is not null and
+    not the step after the last row, where a diverged run stops its log.
     """
     with open(path, encoding="utf-8") as fh:
         # newlines read as "\n"; blank lines are skipped, but counted in
@@ -546,9 +552,11 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
             read += len(chunk)
-    return ExperimentLog(
-        policy_name=meta["policy"],
-        seed=meta["seed"],
-        rows=LogColumns._of(np.concatenate(blocks, axis=1)),
-        aborted_at=meta["aborted_at"],
-    )
+    columns = LogColumns._of(np.concatenate(blocks, axis=1))
+    aborted_at = meta["aborted_at"]
+    if aborted_at is not None and aborted_at != len(columns) + 1:
+        raise ValueError(
+            f"{path}: the meta line's aborted_at must be null or the row count plus one, "
+            f"{len(columns) + 1}, got {aborted_at}"
+        )
+    return ExperimentLog(policy_name=meta["policy"], seed=meta["seed"], rows=columns, aborted_at=aborted_at)

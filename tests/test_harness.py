@@ -423,6 +423,12 @@ class TestExport:
         meta = json.loads(path.read_text().splitlines()[0])
         assert meta == {"policy": "abr", "seed": 7, "aborted_at": 3}
 
+    def test_jsonl_import_keeps_the_abort_step(self, tmp_path):
+        log = ExperimentLog("abr", 7, rows=make_rows([0.5, 0.25]), aborted_at=3)
+        back = import_log_jsonl(export_log(log, tmp_path / "log.jsonl"))
+        assert back.aborted_at == 3
+        assert rows_equal(back, log)
+
     def test_jsonl_rows_are_json_dumps_text(self, tmp_path):
         # numpy floats, an int in a float column, None and extreme floats
         # are written exactly as json.dumps writes the row's dict
@@ -468,13 +474,15 @@ class TestExport:
         ("slope", "0.1", "non-numeric value in a float field"),
         ("accuracy", True, "non-numeric value in a float field"),
         ("threshold", [1.0], "non-numeric value in a float field"),
+        ("accuracy", 7.5, "accuracy outside [0, 1]"),
+        ("accuracy", -0.25, "accuracy outside [0, 1]"),
     ]
 
     @pytest.mark.parametrize(("column", "value", "named"), BAD_FIELDS)
     def test_row_with_a_bad_int_field_is_rejected(self, column, value, named):
         rows = make_rows([0.5, 0.25, 1.0])
         rows[1] = dataclasses.replace(rows[1], **{column: value})
-        with pytest.raises(ValueError, match=f"{named} .*log row at t={rows[1].t}"):
+        with pytest.raises(ValueError, match=f"{re.escape(named)} .*log row at t={rows[1].t}"):
             ExperimentLog("x", 0, rows=rows)
 
     @pytest.mark.parametrize(("column", "value", "named"), BAD_FIELDS)
@@ -485,7 +493,7 @@ class TestExport:
         row[column] = value
         rows[1] = json.dumps(row)
         path.write_text("\n".join([meta, *rows]) + "\n")
-        with pytest.raises(ValueError, match=f"log.jsonl: {named} in the log row at t={row['t']}"):
+        with pytest.raises(ValueError, match=f"log.jsonl: {re.escape(named)} in the log row at t={row['t']}"):
             import_log_jsonl(path)
 
     # an integer past the float range, and one past 2**53 that a float would round
@@ -522,6 +530,9 @@ class TestExport:
         ('{"policy": 7, "seed": 3, "aborted_at": null}', "meta line's policy must be a string, got 7"),
         ('{"policy": "abr", "seed": 3, "aborted_at": "x"}', "meta line's aborted_at must be null or an integer >= 1, got 'x'"),
         ('{"policy": "abr", "seed": 3, "aborted_at": 0}', "meta line's aborted_at must be null or an integer >= 1, got 0"),
+        # a run that aborts at step t has logged t - 1 rows, and this log has 2
+        ('{"policy": "abr", "seed": 3, "aborted_at": 7}', "meta line's aborted_at must be null or the row count plus one, 3, got 7"),
+        ('{"policy": "abr", "seed": 3, "aborted_at": 2}', "meta line's aborted_at must be null or the row count plus one, 3, got 2"),
         ('{"policy": "abr", "seed": 3}', "meta line must be an object of exactly the keys policy, seed, aborted_at"),
         ('{"policy": "abr", "seed": 3, "aborted_at": null, "note": 1}', "meta line must be an object of exactly the keys"),
         ('["abr", 3, null]', "meta line must be an object of exactly the keys"),
@@ -536,7 +547,7 @@ class TestExport:
         ("line", "named"),
         BAD_META,
         ids=["seed a string", "seed a fraction", "seed true", "seed -1", "policy a number",
-             "aborted_at a string", "aborted_at 0", "missing key", "extra key", "a list", "truncated",
+             "aborted_at a string", "aborted_at 0", "aborted_at past the rows", "aborted_at on the last row", "missing key", "extra key", "a list", "truncated",
              "seed past the digit limit"],
     )
     def test_jsonl_import_rejects_a_bad_meta_line(self, tmp_path, line, named):
@@ -600,10 +611,11 @@ class TestExport:
 
     def test_jsonl_import_keeps_large_integers_that_floats_hold(self, tmp_path):
         path = export_log(make_log([0.5, 0.25]), tmp_path / "log.jsonl")
-        text = path.read_text().replace('"t": 2', f'"t": {2**53}').replace('"accuracy": 0.25', f'"accuracy": {2**60}')
+        row_two = '"t": 2, "domain": 0, "accuracy": 0.25, "lf_raw": 0.0'
+        text = path.read_text().replace(row_two, f'"t": {2**53}, "domain": 0, "accuracy": 0.25, "lf_raw": {2**60}')
         path.write_text(text)
         row = import_log_jsonl(path).rows[1]
-        assert (row.t, row.accuracy) == (2**53, 2.0**60)
+        assert (row.t, row.lf_raw) == (2**53, 2.0**60)
 
     def test_row_with_numpy_int_fields_is_accepted(self):
         row = dataclasses.replace(make_rows([0.5])[0], t=np.int64(1), domain=np.int32(0), reset=np.int64(0))
