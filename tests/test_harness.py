@@ -547,8 +547,8 @@ class TestExport:
         ("line", "named"),
         BAD_META,
         ids=["seed a string", "seed a fraction", "seed true", "seed -1", "policy a number",
-             "aborted_at a string", "aborted_at 0", "aborted_at past the rows", "aborted_at on the last row", "missing key", "extra key", "a list", "truncated",
-             "seed past the digit limit"],
+             "aborted_at a string", "aborted_at 0", "aborted_at past the rows", "aborted_at on the last row",
+             "missing key", "extra key", "a list", "truncated", "seed past the digit limit"],
     )
     def test_jsonl_import_rejects_a_bad_meta_line(self, tmp_path, line, named):
         path = export_log(make_log([0.5, 0.25]), tmp_path / "log.jsonl")
