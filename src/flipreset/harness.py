@@ -458,13 +458,29 @@ def compare_policies(config: ExperimentConfig) -> ComparisonSummary:
     return ComparisonSummary(seeds=config.seeds, cells=cells)
 
 
+def _check_aborted_at(path, aborted_at: int | None, n_rows: int) -> None:
+    """Raise ValueError naming ``path`` unless ``aborted_at`` is null or the
+    step after the last of ``n_rows`` rows, where a diverged run stops its log."""
+    if aborted_at is not None and aborted_at != n_rows + 1:
+        raise ValueError(
+            f"{path}: the meta line's aborted_at must be null or the row count plus one, "
+            f"{n_rows + 1}, got {aborted_at}"
+        )
+
+
 def export_log(log: ExperimentLog, path: str | Path) -> Path:
     """Write a log in the format that the path's suffix names, one of
-    :data:`LOG_FORMATS`."""
+    :data:`LOG_FORMATS`.
+
+    Raises ValueError for a JSON-lines path if the log's ``aborted_at`` is
+    one that :func:`import_log_jsonl` rejects.
+    """
     path = Path(path)
     fmt = path.suffix.lower()
     if fmt not in LOG_FORMATS:
         raise ValueError(f"log path must end in {' or '.join(LOG_FORMATS)}, got {path.name!r}")
+    if fmt == ".jsonl":
+        _check_aborted_at(path, log.aborted_at, len(log.rows))
     path.parent.mkdir(parents=True, exist_ok=True)
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -553,10 +569,5 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
                 raise ValueError(f"{path}: {exc}") from None
             read += len(chunk)
     columns = LogColumns._of(np.concatenate(blocks, axis=1))
-    aborted_at = meta["aborted_at"]
-    if aborted_at is not None and aborted_at != len(columns) + 1:
-        raise ValueError(
-            f"{path}: the meta line's aborted_at must be null or the row count plus one, "
-            f"{len(columns) + 1}, got {aborted_at}"
-        )
-    return ExperimentLog(policy_name=meta["policy"], seed=meta["seed"], rows=columns, aborted_at=aborted_at)
+    _check_aborted_at(path, meta["aborted_at"], len(columns))
+    return ExperimentLog(policy_name=meta["policy"], seed=meta["seed"], rows=columns, aborted_at=meta["aborted_at"])

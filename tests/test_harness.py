@@ -418,16 +418,20 @@ class TestExport:
         assert rows_equal(back, log)
 
     def test_jsonl_meta_line(self, tmp_path):
-        log = ExperimentLog("abr", 7, aborted_at=3)
+        # a run that aborts at step 3 has logged two rows
+        log = ExperimentLog("abr", 7, rows=make_rows([0.5, 0.25]), aborted_at=3)
         path = export_log(log, tmp_path / "log.jsonl")
         meta = json.loads(path.read_text().splitlines()[0])
         assert meta == {"policy": "abr", "seed": 7, "aborted_at": 3}
-
-    def test_jsonl_import_keeps_the_abort_step(self, tmp_path):
-        log = ExperimentLog("abr", 7, rows=make_rows([0.5, 0.25]), aborted_at=3)
-        back = import_log_jsonl(export_log(log, tmp_path / "log.jsonl"))
+        back = import_log_jsonl(path)
         assert back.aborted_at == 3
         assert rows_equal(back, log)
+        # the export writes no abort step that the import rejects
+        for bad in (2, 7):
+            log.aborted_at = bad
+            with pytest.raises(ValueError, match=f"row count plus one, 3, got {bad}"):
+                export_log(log, tmp_path / "bad.jsonl")
+        assert not (tmp_path / "bad.jsonl").exists()
 
     def test_jsonl_rows_are_json_dumps_text(self, tmp_path):
         # numpy floats, an int in a float column, None and extreme floats
