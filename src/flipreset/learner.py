@@ -169,13 +169,22 @@ def entropy_loss(theta: np.ndarray, batch: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p + EPS), axis=1).mean())
 
 
+# rows from which _theta_grad sums the bias gradient with einsum: a whole
+# entropy gradient ran faster with einsum from 128 rows and slower up to 64
+# (K 4 and 10), and whole collapse.json runs, at 64 rows a step, ran faster
+# with add.reduce
+_EINSUM_ROWS = 128
+
+
 def _theta_grad(gz: np.ndarray, batch: np.ndarray) -> np.ndarray:
     """theta's ``[W.ravel(), b]`` gradient of a batch-mean loss, from its
     per-sample logit gradients ``gz``, which are divided in place."""
     gz /= batch.shape[0]
-    # the bias gradient is gz.sum(axis=0): einsum adds each column in row
-    # order from +0.0 as the sum does, at a third of its cost on 1,600 rows
-    return np.concatenate((gz.T.dot(batch).ravel(), np.einsum("ij->j", gz)))
+    # the bias gradient is gz.sum(axis=0); einsum adds each column in row
+    # order from +0.0 as the sum does, so the bits match, at a third of its
+    # cost on pretraining's 1,600 rows
+    bias = np.add.reduce(gz, axis=0) if len(gz) < _EINSUM_ROWS else np.einsum("ij->j", gz)
+    return np.concatenate((gz.T.dot(batch).ravel(), bias))
 
 
 def entropy_grad(theta: np.ndarray, batch: np.ndarray) -> np.ndarray:

@@ -284,16 +284,19 @@ class TestBitwisePins:
         for theta, batch in [*pinned_cases(k, rng), wide]:
             assert softmax_forward(theta, np.asfortranarray(batch)).tobytes() == softmax_forward(theta, batch).tobytes()
 
-    @pytest.mark.parametrize("n", [0, 1, 64, 1600])
+    # both sides of _EINSUM_ROWS; the golden runs sum only at K 4, 8 and 10
+    # over N 32, 63, 64, 800, 1,600 and 2,000
+    @pytest.mark.parametrize("n", [0, 1, 64, 323, 1001, 1600, 2000])
     def test_theta_grad_bias_is_the_column_sum(self, n):
         rng = np.random.default_rng(n)
-        gz = rng.normal(0, 1, (n, 4))
-        gz[:, 1] = -0.0  # numpy's sum starts from +0.0, so this column sums to +0.0
-        gz[::3, 2] = 0.0
-        batch = rng.normal(0, 1, (n, 3))
-        expected = gz / n
-        grad = _theta_grad(gz, batch)
-        assert grad[12:].tobytes() == expected.sum(axis=0).tobytes()
+        for k in (2, 4, 9, 12):
+            gz = rng.normal(0, 1, (n, k))
+            gz[:, 1] = -0.0  # numpy's sum starts from +0.0, so this column sums to +0.0
+            gz[::3, k - 1] = 0.0
+            batch = rng.normal(0, 1, (n, 3))
+            expected = gz / n
+            grad = _theta_grad(gz, batch)
+            assert grad[3 * k :].tobytes() == expected.sum(axis=0).tobytes(), k
 
     @pytest.mark.parametrize("k", [2, 4, 7, 12])
     def test_predict_confidence_is_the_fancy_gather(self, k):
@@ -408,18 +411,20 @@ class TestPretrainSource:
 
     def test_matches_two_pass_reference_bitwise(self):
         # the reference takes the loss and the gradient from two softmax
-        # passes; 404 samples leave 323 to train on, not a multiple of 8
-        for k, d, n in [(3, 4, 300), (4, 16, 1600), (4, 16, 404), (9, 16, 900)]:
+        # passes; 404 samples leave 323 to train on, not a multiple of 8, and
+        # 1,100 samples with 9 % held out leave 1,001
+        cases = [(3, 4, 300, 0.2), (4, 16, 1600, 0.2), (4, 16, 404, 0.2), (9, 16, 900, 0.2), (10, 16, 1100, 0.09)]
+        for k, d, n, holdout in cases:
             model, _ = pretrain(
                 np.random.default_rng(5), epochs=20, separation=1.5, n_classes=k, n_features=d,
-                samples_per_class=n // k,
+                samples_per_class=n // k, holdout_fraction=holdout,
             )
 
             replay = np.random.default_rng(5)
             labels = replay.integers(0, k, n)
             features = 1.5 * np.eye(k, d)[labels] + replay.standard_normal((n, d))
             order = replay.permutation(n)
-            train = order[int(round(0.2 * n)) :]
+            train = order[int(round(holdout * n)) :]
             x, y = features[train], labels[train]
             idx = np.arange(len(y))
             theta = 0.01 * replay.standard_normal(k * (d + 1))
