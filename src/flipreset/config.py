@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .learner import AdaptLoss, EntropyMin, PretrainConfig, RobustPseudoLabel
+from .learner import LOSS_KINDS, AdaptLoss, EntropyMin, PretrainConfig
 from .policy import POLICY_KINDS, NoReset, RandomTiming, ResetPolicy, TriggerConfig
 from .stream import CorruptionKind, Domain, DomainSchedule, SourceDistribution, Transition
 
@@ -85,21 +85,10 @@ class StreamConfig:
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    loss: str = "entropy"  # entropy | rpl
-    q: float = 0.8
+    loss: AdaptLoss = EntropyMin()  # "loss" names it, and its own keys, such as rpl's q, sit beside "loss"
     learning_rate: float = 0.05
     momentum: float = 0.9
     pretrain: PretrainConfig = PretrainConfig()
-
-    def __post_init__(self) -> None:
-        if self.loss not in ("entropy", "rpl"):
-            raise ConfigError(f"learner.loss must be entropy|rpl, got {self.loss!r}")
-        self.adapt_loss  # a bad q is a config error too
-
-    @cached_property
-    def adapt_loss(self) -> AdaptLoss:
-        """The adaptation loss this config names."""
-        return RobustPseudoLabel(q=self.q) if self.loss == "rpl" else EntropyMin()
 
 
 @dataclass(frozen=True)
@@ -240,16 +229,20 @@ def _build(cls, d, where: str, **nested):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _kind(kinds: dict[str, type], name, where: str) -> type:
+    """The class that the config-file name ``name``, given at ``where``, names in ``kinds``."""
+    if type(name) is not str or name not in kinds:
+        raise ConfigError(f"{where} must be one of {'|'.join(kinds)}, got {name!r}")
+    return kinds[name]
+
+
 def parse_policy(d: dict, batch_size: int, where: str = "policy") -> ResetPolicy:
     """Build a policy from its config dict. An adaptive policy's trigger keys
     sit beside ``kind``, and beta's sample clock is one batch = ``batch_size``
     samples."""
-    kind = _object(d, where).get("kind")
-    if type(kind) is not str or kind not in POLICY_KINDS:
-        raise ConfigError(f"{where}.kind must be one of {'|'.join(POLICY_KINDS)}, got {kind!r}")
+    cls = _kind(POLICY_KINDS, _object(d, where).get("kind"), f"{where}.kind")
     if "trigger" in d:
         raise ConfigError(f"unknown keys in {where}: ['trigger']")
-    cls = POLICY_KINDS[kind]
     params = {k: v for k, v in d.items() if k != "kind"}
     if all(f.name != "trigger" for f in dataclasses.fields(cls)):
         return _build(cls, params, where)
@@ -280,7 +273,11 @@ def _parse_stream(value) -> StreamConfig:
 
 
 def _parse_learner(value) -> LearnerConfig:
-    return _build(LearnerConfig, value, "learner", pretrain=lambda p: _build(PretrainConfig, p, "learner.pretrain"))
+    params = dict(_object(value, "learner"))
+    cls = _kind(LOSS_KINDS, params["loss"], "learner.loss") if "loss" in params else type(LearnerConfig.loss)
+    params["loss"] = {f.name: params.pop(f.name) for f in dataclasses.fields(cls) if f.name in params}
+    return _build(LearnerConfig, params, "learner", loss=lambda p: _build(cls, p, "learner"),
+                  pretrain=lambda p: _build(PretrainConfig, p, "learner.pretrain"))
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:

@@ -340,7 +340,7 @@ def run_experiment(
     model = replace(model, theta=model.theta_source)
     schedule = build_schedule(config, seed)
     learner = config.learner
-    loss, learning_rate, momentum = learner.adapt_loss, learner.learning_rate, learner.momentum
+    loss, learning_rate, momentum = learner.loss, learner.learning_rate, learner.momentum
     state = FlipSignalState()
 
     horizon, batch_size, normalize = config.stream.horizon, config.batch_size, config.normalize_flip

@@ -23,6 +23,7 @@ __all__ = [
     "Prediction",
     "EntropyMin",
     "RobustPseudoLabel",
+    "LOSS_KINDS",
     "ModelState",
     "softmax_forward",
     "predict",
@@ -65,7 +66,7 @@ class RobustPseudoLabel:
     """Adapt on self-assigned argmax labels with a generalized cross-entropy
     loss ``(1 - p^q) / q``; ``q -> 1`` recovers ``1 - p``."""
 
-    q: float
+    q: float = 0.8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.q <= 1.0:
@@ -73,6 +74,7 @@ class RobustPseudoLabel:
 
 
 AdaptLoss = EntropyMin | RobustPseudoLabel
+LOSS_KINDS: dict[str, type] = {"entropy": EntropyMin, "rpl": RobustPseudoLabel}  # by config-file name
 
 
 _FLOAT64 = np.dtype(np.float64)
