@@ -139,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except DivergenceError as exc:
         # a pretraining divergence has no log, and its step is an epoch
-        where = "" if exc.log is None else f" (row index {exc.step})"
+        where = "" if exc.log is None else f" (t={exc.step})"
         print(f"aborted: {exc}{where}", file=sys.stderr)
         return 2
 

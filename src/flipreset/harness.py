@@ -434,7 +434,9 @@ def compare_policies(config: ExperimentConfig) -> ComparisonSummary:
 
     Each seed's source model is pretrained once and every policy adapts a
     copy of it. A diverging cell is marked failed rather than sinking the
-    comparison; a seed whose pretraining diverges fails all of its cells.
+    comparison, with its run's ``aborted_at`` step; a seed whose pretraining
+    diverges fails all of its cells, each with the 0-based
+    ``pretraining_epoch``.
     """
     policies = config.policies
     if policies is None or len(policies) < 2:
@@ -446,7 +448,7 @@ def compare_policies(config: ExperimentConfig) -> ComparisonSummary:
             model, _ = build_model(config, seed)
         except DivergenceError as exc:
             for name in policies:
-                cells[name][seed] = {"failed": True, "aborted_at": exc.step}
+                cells[name][seed] = {"failed": True, "pretraining_epoch": exc.step}
             continue
         for name, policy in policies.items():
             try:

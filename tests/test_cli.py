@@ -88,7 +88,7 @@ class TestExitCodes:
         out = tmp_path / "partial.csv"
         code = main(["run", "--config", str(path), "--out", str(out)])
         assert code == 2
-        assert "row index" in capsys.readouterr().err
+        assert "(t=" in capsys.readouterr().err
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) > 1  # completed rows flushed before the abort
@@ -111,7 +111,7 @@ class TestExitCodes:
         code = main(["run", "--config", str(path), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "aborted: non-finite features (row index 6)" in err
+        assert "aborted: non-finite features (t=6)" in err
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 6  # the five batches of the first domain
@@ -140,7 +140,7 @@ class TestExitCodes:
         assert main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "aborted: pretraining loss non-finite at epoch 1" in err
-        assert "row index" not in err
+        assert "(t=" not in err
 
 
 class TestRun:

@@ -727,7 +727,7 @@ class TestComparePolicies:
         )
         policies = {"a": NoReset(), "b": NoReset(), "c": FixedInterval(period=2)}
         summary = compare_policies(dataclasses.replace(cfg, seeds=(0, 1), policies=policies))
-        failed = {"failed": True, "aborted_at": 1}
+        failed = {"failed": True, "pretraining_epoch": 1}
         assert summary.cells == {name: {0: failed, 1: failed} for name in policies}
         # the failed pretraining is not repeated for the seed's other cells
         assert calls == [0, 1]
@@ -757,7 +757,10 @@ class TestComparePolicies:
         # frequent full resets keep the runaway optimizer in check
         policies = {"no_reset": NoReset(), "fixed_5": FixedInterval(period=5)}
         summary = compare_policies(dataclasses.replace(cfg, seeds=(0,), policies=policies))
-        assert summary.cells["no_reset"][0]["failed"]
+        with pytest.raises(DivergenceError) as excinfo:
+            run_experiment(cfg, 0, policy=NoReset())
+        # the cell names the step its run diverged at, as the run log's aborted_at does
+        assert summary.cells["no_reset"][0] == {"failed": True, "aborted_at": excinfo.value.step}
         # the diverged cell left the seed's shared source model as it was
         log = run_experiment(cfg, 0, policy=FixedInterval(period=5))
         assert summary.cells["fixed_5"][0] == {
