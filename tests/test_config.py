@@ -9,11 +9,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flipreset.cli import main
-from flipreset.config import MAX_ARRAY_VALUES, ConfigError, ExperimentConfig, config_from_dict
+from flipreset.config import MAX_ARRAY_VALUES, ConfigError, ExperimentConfig, config_from_dict, load_config
 from flipreset.harness import LogRow, run_experiment
-from flipreset.learner import DivergenceError
+from flipreset.learner import DivergenceError, EntropyMin, RobustPseudoLabel
 from flipreset.policy import POLICY_KINDS
 from flipreset.stream import CorruptionKind
+
+from conftest import CONFIG_DIR
 
 SMALL = {
     "stream": {"num_domains": 2, "batches_per_domain": 10},
@@ -33,6 +35,9 @@ MALFORMED = [
     (("learner", "learning_rate"), float("nan"), "learning_rate"),
     (("policies",), [1], "policies"),
     (("learner",), {"loss": "rpl", "q": 1.5}, "q"),
+    # q belongs to rpl alone: beside entropy, or with no loss, it is an unknown key
+    (("learner",), {"loss": "entropy", "q": 0.5}, "unknown keys in learner: ['q']"),
+    (("learner",), {"q": 99}, "error: unknown keys in learner: ['q']"),
     (("stream", "n_classes"), 1, "n_classes"),
     (("stream", "n_features"), 3, "n_features"),
     # every class mean at the origin, and no mean_shift direction
@@ -113,6 +118,17 @@ def test_malformed_config_exits_one_naming_the_key(tmp_path, monkeypatch, capsys
     config.write_text(json.dumps(raw))  # float("nan") is written as JSON NaN
     assert main(["run", "--config", str(config), "--quiet"]) == 1
     assert named in capsys.readouterr().err
+
+
+def test_rpl_loss_takes_its_default_q():
+    assert config_from_dict({"learner": {"loss": "rpl"}}).learner.loss == RobustPseudoLabel(q=0.8)
+    assert config_from_dict({"learner": {"loss": "rpl", "q": 0.5}}).learner.loss == RobustPseudoLabel(q=0.5)
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in CONFIG_DIR.glob("*.json")))
+def test_committed_config_loads_its_loss(name):
+    expected = RobustPseudoLabel(q=0.8) if name == "rpl_ramp.json" else EntropyMin()
+    assert load_config(CONFIG_DIR / name).learner.loss == expected
 
 
 @pytest.mark.parametrize("key", ["class_separation", "num_domains"])

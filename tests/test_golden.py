@@ -3,7 +3,7 @@
 The digests in tests/data/golden_logs.json are SHA-256 hashes of the
 pretrained source weights (the raw bytes of ``theta_source``), of the
 JSON-lines export (exact floats) and of the CSV export (9-digit floats).
-Regenerate them with scripts/make_reference.py only for a change that is
+Regenerate them with scripts/make_golden.py only for a change that is
 meant to move the dynamics or a file format, and say so in CHANGES.md.
 """
 
@@ -48,7 +48,7 @@ def test_forced_full_restore_reproduces_hard_reset(tmp_path):
     assert_exports_match(log, entry, tmp_path)
 
 
-@pytest.mark.parametrize("name", ["quick", "rpl_hard_reset"])
+@pytest.mark.parametrize("name", ["quick", "rpl_hard_reset", "k8", "k10_odd"])
 def test_logged_slope_rule_marks_every_reset(name, tmp_path):
     # the log contract: an adaptive policy resets at a row exactly when the
     # row is past warm-up and its slope exceeds its threshold
