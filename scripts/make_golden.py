@@ -37,7 +37,6 @@ GOLDEN_RUNS = {
 GOLDEN_FORMATS = ("jsonl", "csv")
 
 
-
 def golden_logs() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -433,10 +433,9 @@ def compare_policies(config: ExperimentConfig) -> ComparisonSummary:
     per-seed streams.
 
     Each seed's source model is pretrained once and every policy adapts a
-    copy of it. A diverging cell is marked failed rather than sinking the
-    comparison, with its run's ``aborted_at`` step; a seed whose pretraining
-    diverges fails all of its cells, each with the 0-based
-    ``pretraining_epoch``.
+    copy of it. A diverging cell is marked failed, with its run's ``aborted_at``,
+    rather than sinking the comparison; a seed whose pretraining diverges
+    fails all of its cells, each with the 0-based ``pretraining_epoch``.
     """
     policies = config.policies
     if policies is None or len(policies) < 2:
