@@ -54,43 +54,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_out(path: str | None) -> str | None:
-    """Re-root relative output paths under FLIPRESET_OUTDIR when it is set."""
-    if not path:
+def _prepare_out(out: str | None) -> str | None:
+    """Return ``--out`` re-rooted under FLIPRESET_OUTDIR when it is relative
+    and that is set, with its parent directory created before any work, so a
+    path that cannot be written exits 1 naming ``--out`` at once."""
+    if out is None:
         return None
     outdir = os.environ.get("FLIPRESET_OUTDIR")
-    if outdir and not Path(path).is_absolute():
-        return str(Path(outdir) / path)
-    return path
-
-
-def _prepare_out(out: str | None) -> None:
-    """Create ``--out``'s parent directory before any work, so a path that
-    cannot be written exits 1 naming ``--out`` at once."""
-    if not out:
-        return
+    if outdir and not Path(out).is_absolute():
+        out = str(Path(outdir) / out)
     if Path(out).is_dir():
         raise ConfigError(f"--out {out!r} is a directory")
     try:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out!r}: cannot create its directory: {exc}") from exc
+    return out
 
 
 def _cmd_run(config: ExperimentConfig, args) -> int:
-    out = args.out
-    if out and Path(out).suffix.lower() not in LOG_FORMATS:
-        raise ConfigError(f"--out must end in {' or '.join(LOG_FORMATS)}, got {out!r}")
-    _prepare_out(out)
+    if args.out is not None and Path(args.out).suffix.lower() not in LOG_FORMATS:
+        raise ConfigError(f"--out must end in {' or '.join(LOG_FORMATS)}, got {args.out!r}")
+    out = _prepare_out(args.out)
     seed = config.seeds[0]
     model, holdout = build_model(config, seed)
     try:
         log = run_experiment(config, seed, model=model)
     except DivergenceError as exc:
-        if out and exc.log is not None:
+        if out is not None:
             export_log(exc.log, out)
         raise
-    if out:
+    if out is not None:
         export_log(log, out)
     if not args.quiet:
         print(
@@ -98,7 +92,7 @@ def _cmd_run(config: ExperimentConfig, args) -> int:
             "mean_acc={mean_accuracy:.4f} final_acc={final_accuracy:.4f} "
             "resets={reset_count}".format(**log.summary())
         )
-        if out:
+        if out is not None:
             print(f"log written to {out}")
     return 0
 
@@ -108,11 +102,11 @@ def _cmd_compare(config: ExperimentConfig, args) -> int:
         raise ConfigError("compare requires a 'policies' map in the config")
     if len(config.policies) < 2:
         raise ConfigError("compare needs at least two policies")
-    _prepare_out(args.out)
+    out = _prepare_out(args.out)
     summary = compare_policies(config)
     table = summary.table()
-    if args.out:
-        Path(args.out).write_text(table + "\n", encoding="utf-8")
+    if out is not None:
+        Path(out).write_text(table + "\n", encoding="utf-8")
     if not args.quiet:
         print(table)
     return 0
@@ -128,7 +122,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.out = _resolve_out(args.out)
         config = load_config(args.config)
         if args.seed is not None:
             # through the config's own checks, like a seed from the file
@@ -138,8 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:
-        # a pretraining divergence has no log, and its step is an epoch
-        where = "" if exc.log is None else f" (t={exc.step})"
+        where = "" if exc.step is None else f" (t={exc.step})"
         print(f"aborted: {exc}{where}", file=sys.stderr)
         return 2
 

@@ -447,7 +447,7 @@ def compare_policies(config: ExperimentConfig) -> ComparisonSummary:
             model, _ = build_model(config, seed)
         except DivergenceError as exc:
             for name in policies:
-                cells[name][seed] = {"failed": True, "pretraining_epoch": exc.step}
+                cells[name][seed] = {"failed": True, "pretraining_epoch": exc.epoch}
             continue
         for name, policy in policies.items():
             try:

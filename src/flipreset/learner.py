@@ -39,12 +39,14 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite numbers in pretraining or in a run. Carries the step index
-    and, when the failure happened mid-run, the partial log flushed so far."""
+    """Non-finite numbers in pretraining or in a run. :func:`pretrain_source`
+    sets the 0-based ``epoch``; the run loop sets its batch ``step`` ``t``,
+    equal to ``log.aborted_at``, and the partial ``log`` flushed so far."""
 
-    def __init__(self, message: str, step: int | None = None, log=None):
+    def __init__(self, message: str, *, step: int | None = None, epoch: int | None = None, log=None):
         super().__init__(message)
         self.step = step
+        self.epoch = epoch
         self.log = log
 
 
@@ -343,11 +345,11 @@ def pretrain_source(
         # label probability is; a sample's probabilities lie in [0, 1] or
         # are all nan, so that holds exactly when their one sum is finite
         if not math.isfinite(np.add.reduce(p, axis=None)):
-            raise DivergenceError(f"pretraining loss non-finite at epoch {epoch}", step=epoch)
+            raise DivergenceError(f"pretraining loss non-finite at epoch {epoch}", epoch=epoch)
         p -= one_hot
         model.theta = model.theta - settings.learning_rate * _theta_grad(p, x_train)
         if not np.isfinite(model.theta).all():
-            raise DivergenceError(f"pretraining weights non-finite at epoch {epoch}", step=epoch)
+            raise DivergenceError(f"pretraining weights non-finite at epoch {epoch}", epoch=epoch)
 
     model.theta_source = _frozen_copy(model.theta)
     model.replace_weights(model.theta)

@@ -33,6 +33,15 @@ def config_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def diverging_pretraining(tmp_path):
+    """SMALL with a pretraining rate whose loss goes non-finite at epoch 1."""
+    cfg = dict(SMALL, learner={"pretrain": {"samples_per_class": 100, "epochs": 60, "learning_rate": 1e308}})
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 class TestExitCodes:
     def test_missing_config_names_path(self, capsys):
         code = main(["run", "--config", "missing.json"])
@@ -132,15 +141,19 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("command", ["run"])
-    def test_pretraining_divergence_names_epoch(self, command, tmp_path, capsys):
-        cfg = dict(SMALL)
-        cfg["learner"] = {"pretrain": {"samples_per_class": 100, "epochs": 60, "learning_rate": 1e308}}
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(cfg))
-        assert main([command, "--config", str(path)]) == 2
+    def test_pretraining_divergence_names_epoch(self, command, diverging_pretraining, capsys):
+        assert main([command, "--config", diverging_pretraining]) == 2
         err = capsys.readouterr().err
         assert "aborted: pretraining loss non-finite at epoch 1" in err
         assert "(t=" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_compare_marks_the_seeds_whose_pretraining_diverges(self, diverging_pretraining, capsys):
+        assert main(["compare", "--config", diverging_pretraining]) == 0
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith("[diverged: seeds [0, 1]]") for row in rows)
+        assert "aborted" not in captured.err and "Traceback" not in captured.err
 
 
 class TestRun:
@@ -251,6 +264,11 @@ class TestExportAndPretrain:
         for out in (afile / name, tmp_path / name):
             assert main([command, "--config", config_path, "--out", str(out)]) == 1
             assert f"--out {str(out)!r}" in capsys.readouterr().err
+        # the empty path, which run rejects by its suffix and compare as the
+        # working directory: Path('') is '.'
+        empty = {"run": "--out must end in .csv or .jsonl, got ''", "compare": "--out '' is a directory"}
+        assert main([command, "--config", config_path, "--out", ""]) == 1
+        assert empty[command] in capsys.readouterr().err
 
 
 class TestOutputDirOverride:

@@ -137,7 +137,7 @@ class TestRunExperiment:
         with pytest.raises(DivergenceError) as excinfo:
             run_experiment(cfg, 0)
         err = excinfo.value
-        assert err.step is not None and err.log is not None
+        assert err.step is not None and err.log is not None and err.epoch is None
         assert err.log.aborted_at == err.step
         assert len(err.log.rows) == err.step - 1
         assert all(np.isfinite(r.accuracy) for r in err.log.rows)
