@@ -74,21 +74,23 @@ _NUMBER_TYPES = [(int, np.integer) if i in _INTS else (int, float, np.integer, n
 _CHUNK = 1024
 
 
-def _cells(float_format: str) -> list[str]:
-    """Each field's cell in a file format's row template: an int as %d, a
-    float in the format's own way, and a nullable float as text, formatted
-    first so that NaN, for None, can read as the format's null."""
-    return [
-        "%s" if i in _NULLABLE else "%d" if f.type == "int" else float_format
-        for i, f in enumerate(fields(LogRow))
-    ]
+def _cells(float_format: str, null: str, key: str, start: str, end: str) -> list[tuple[str, str]]:
+    """Each field's cell in a file format's row, as the template of a value
+    (an int as %d, a float in the format's own way) and the text of NaN,
+    which stands for None: the format's null. Each cell carries its key; the
+    first also carries the row's start and the last its end."""
+    cells = []
+    for i, name in enumerate(_COLUMNS.values()):
+        lead, tail = (start if i == 0 else "") + key.format(name), end if i == len(_COLUMNS) - 1 else ""
+        cells.append((lead + ("%d" if i in _INTS else float_format) + tail, lead + null + tail))
+    return cells
 
 
-# per file format: row template, float format and null
-_CSV_TEXT = (",".join(_cells("%.9g")) + "\n", "%.9g", "")
+# per file format: each field's cell and the text between two cells
+_CSV_TEXT = (_cells("%.9g", null="", key="", start="", end="\n"), ",")
 # a JSON-lines row is the text json.dumps gives the row's dict: floats as
 # float.__repr__ writes them and None as null
-_JSON_TEXT = ("{" + ", ".join(map('"{}": {}'.format, _COLUMNS.values(), _cells("%r"))) + "}\n", "%r", "null")
+_JSON_TEXT = (_cells("%r", null="null", key='"{}": ', start="{", end="}\n"), ", ")
 _json_values = itemgetter(*_COLUMNS.values())
 # each key of a JSON-lines log's meta line, with the test its value passes
 _META = {
@@ -98,8 +100,9 @@ _META = {
 }
 
 
-def _broken_rule(cols: list[Sequence]) -> np.ndarray | str:
-    """The float64 block of a log's columns, or the first rule of :func:`_block` they break."""
+def _broken_rule(cols: list[Sequence], t: int) -> np.ndarray | str:
+    """The float64 block of a log's columns whose first row is expected at
+    ``t``, or the first rule of :func:`_block` they break."""
     numbers, nones = [], 0
     for i, col in enumerate(cols):
         kinds = set(map(type, col))
@@ -132,23 +135,27 @@ def _broken_rule(cols: list[Sequence]) -> np.ndarray | str:
     lam = block[_LAM]
     if not np.where(block[_RESET] != 0, (lam >= 0) & (lam <= 1), np.isnan(lam)).all():
         return "lambda outside [0, 1] on a reset row or not empty on another"
+    # a run logs its rows at t = 1, 2, ..., and a block starts at row t
+    if (wrong := np.flatnonzero(block[0] != np.arange(t, t + block.shape[1]))).size:
+        return f"t out of sequence (expected {t + wrong[0]})"
     return block
 
 
-def _block(cols: list[Sequence]) -> np.ndarray:
+def _block(cols: list[Sequence], t: int) -> np.ndarray:
     """The float64 block of a log's columns, each :class:`LogRow` field's
-    values in field order, NaN for None. Raises ValueError naming the first
-    row, by its ``t``, where an int field holds other than an int, a float
-    field other than a number (a bool is neither), a required field None, a
-    float is not finite, an integer is one that no float64 holds exactly,
-    ``reset`` is neither 0 nor 1, ``accuracy`` is not in [0, 1], or ``lam``
-    is not in [0, 1] on a reset row or not None on another."""
-    block = _broken_rule(cols)
+    values in field order, NaN for None, its first row expected at ``t``.
+    Raises ValueError naming the first row, by its ``t``, where an int field
+    holds other than an int, a float field other than a number (a bool is
+    neither), a required field None, a float is not finite, an integer is
+    one that no float64 holds exactly, ``reset`` is neither 0 nor 1,
+    ``accuracy`` is not in [0, 1], ``lam`` is not in [0, 1] on a reset row
+    or not None on another, or ``t`` is not one past the row before."""
+    block = _broken_rule(cols, t)
     if isinstance(block, str):
         # one row at a time, once the whole block is known to break a rule
-        for j, t in enumerate(cols[0]):
-            if isinstance(rule := _broken_rule([col[j : j + 1] for col in cols]), str):
-                raise ValueError(f"{rule} in the log row at t={shown(t)}")
+        for j, row_t in enumerate(cols[0]):
+            if isinstance(rule := _broken_rule([col[j : j + 1] for col in cols], t + j), str):
+                raise ValueError(f"{rule} in the log row at t={shown(row_t)}")
     return block
 
 
@@ -162,12 +169,16 @@ def _rows(block: np.ndarray) -> list[LogRow]:
     return list(map(LogRow, *cols))
 
 
-def _text(block: np.ndarray, template: str, fmt: str, null: str) -> str:
-    """The rows of a block of columns, written by a file format's row template."""
-    cols = block.tolist()
-    for i in _NULLABLE:
-        cols[i] = [null if v != v else fmt % v for v in cols[i]]
-    return "".join(map(template.__mod__, zip(*cols)))
+def _text(block: np.ndarray, cells: list[tuple[str, str]], sep: str) -> str:
+    """The rows of a block of columns, written in a file format's cells. Each
+    distinct value of a column is formatted once, told apart by its bits so
+    that -0.0 is not 0.0, and its text gathered to every row that holds it."""
+    cols = []
+    for col, (cell, null) in zip(block, cells):
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        texts = [null if v != v else cell % v for v in bits.view(np.float64).tolist()]
+        cols.append(np.array(texts, dtype=object).take(inverse).tolist())
+    return "".join(map(sep.join, zip(*cols)))
 
 
 class LogColumns(Sequence[LogRow]):
@@ -186,8 +197,8 @@ class LogColumns(Sequence[LogRow]):
 
     @classmethod
     def from_rows(cls, rows: Sequence[LogRow]) -> LogColumns:
-        """A store holding ``rows``; raises ValueError as :func:`_block` does."""
-        return cls._of(_block(list(zip(*map(_row_values, rows)))))
+        """A store holding ``rows``, at t = 1, 2, ...; raises ValueError as :func:`_block` does."""
+        return cls._of(_block(list(zip(*map(_row_values, rows))), 1))
 
     @classmethod
     def _of(cls, columns: np.ndarray) -> LogColumns:
@@ -536,7 +547,7 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
             if not valid(meta[key]):
                 raise ValueError(f"{path}: the meta line's {key} must be {kind}, got {meta[key]!r}")
         decode = json.JSONDecoder().decode
-        blocks = [np.empty((len(_COLUMNS), 0))]
+        blocks, n_rows = [np.empty((len(_COLUMNS), 0))], 0
         while chunk := list(islice(fh, _CHUNK)):
             texts = [line for line in chunk if line != "\n"]
             # one decode per chunk of lines, transposed into columns
@@ -565,10 +576,11 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
                 n = next(n for (n, _), row in zip(lines, rows) if type(row) is not dict or row.keys() != keys)
                 raise ValueError(f"{path}: line {n} must be an object of exactly the keys {CSV_HEADER}")
             try:
-                blocks.append(_block(list(zip(*values))))
+                blocks.append(_block(list(zip(*values)), n_rows + 1))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
             read += len(chunk)
+            n_rows += len(values)
     columns = LogColumns._of(np.concatenate(blocks, axis=1))
     _check_aborted_at(path, meta["aborted_at"], len(columns))
     return ExperimentLog(policy_name=meta["policy"], seed=meta["seed"], rows=columns, aborted_at=meta["aborted_at"])

@@ -437,7 +437,7 @@ class TestExport:
         # numpy floats, an int in a float column, None and extreme floats
         # are written exactly as json.dumps writes the row's dict
         row = LogRow(
-            t=3, domain=1, accuracy=np.float64(0.1), lf_raw=1e-300, lf_ema=-0.0, lf_min=1e16,
+            t=1, domain=1, accuracy=np.float64(0.1), lf_raw=1e-300, lf_ema=-0.0, lf_min=1e16,
             slope=None, threshold=np.float64(2.5e-7), reset=1, lam=1,
         )
         log = ExperimentLog("x", 0, rows=[row])
@@ -447,6 +447,31 @@ class TestExport:
         assert type(stored.lam) is float and stored.lam == 1.0
         expected = json.dumps(dict(zip(CSV_HEADER.split(","), dataclasses.astuple(stored))))
         assert path.read_text().splitlines()[1] == expected
+
+    def test_each_line_is_its_row_formatted_alone(self, tmp_path):
+        # longer than one chunk, with 0.0 and -0.0 in one column of one chunk,
+        # values repeated across chunks, None in every nullable field, ints in
+        # float columns and extreme floats: formatting each distinct value once
+        # gives every row's text as formatting the row alone does
+        rows = [
+            LogRow(
+                t=t, domain=t // 300, accuracy=(t % 7) / 7, lf_raw=(0.0, -0.0, 1e-300)[t % 3],
+                lf_ema=1e16 if t % 5 == 0 else t * 1e-3, lf_min=1 if t % 4 == 0 else -0.0 if t % 2 else 0.0,
+                slope=None if t % 4 == 0 else t * 1e-6, threshold=None if t % 5 == 0 else 2.5e-7,
+                reset=int(t % 11 == 5), lam=(1, 0.5, -0.0)[t % 3] if t % 11 == 5 else None,
+            )
+            for t in range(1, 2501)
+        ]
+        log = ExperimentLog("x", 0, rows=rows)
+        csv = export_log(log, tmp_path / "log.csv").read_text().splitlines()[1:]
+        jsonl = export_log(log, tmp_path / "log.jsonl").read_text().splitlines()[1:]
+        assert len(csv) == len(jsonl) == len(rows)
+        for row, csv_line, json_line in zip(log.rows, csv, jsonl):
+            values = dataclasses.astuple(row)
+            cells = ["" if v is None else "%d" % v if isinstance(v, int) else "%.9g" % v for v in values]
+            assert csv_line == ",".join(cells)
+            assert json_line == json.dumps(dict(zip(CSV_HEADER.split(","), values)))
+        assert {line.split(",")[3] for line in csv} == {"0", "-0", "1e-300"}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", ["lf_raw", "lam"])
@@ -616,10 +641,31 @@ class TestExport:
     def test_jsonl_import_keeps_large_integers_that_floats_hold(self, tmp_path):
         path = export_log(make_log([0.5, 0.25]), tmp_path / "log.jsonl")
         row_two = '"t": 2, "domain": 0, "accuracy": 0.25, "lf_raw": 0.0'
-        text = path.read_text().replace(row_two, f'"t": {2**53}, "domain": 0, "accuracy": 0.25, "lf_raw": {2**60}')
+        text = path.read_text().replace(row_two, f'"t": 2, "domain": {2**53}, "accuracy": 0.25, "lf_raw": {2**60}')
         path.write_text(text)
         row = import_log_jsonl(path).rows[1]
-        assert (row.t, row.lf_raw) == (2**53, 2.0**60)
+        assert (row.domain, row.lf_raw) == (2**53, 2.0**60)
+
+    def test_rows_out_of_t_sequence_are_rejected(self):
+        rows = make_rows([0.5, 0.25])
+        with pytest.raises(ValueError, match=r"t out of sequence \(expected 2\) in the log row at t=1$"):
+            ExperimentLog("x", 0, rows=[rows[0], rows[0]])
+
+    def test_jsonl_import_rejects_rows_out_of_t_sequence(self, tmp_path):
+        # the abort step fits two rows, but rows at t = 7, 7 are not t = 1, 2
+        path = export_log(ExperimentLog("x", 0, rows=make_rows([0.5, 0.25]), aborted_at=3), tmp_path / "log.jsonl")
+        meta, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([meta, *(row.replace(f'"t": {t}', '"t": 7') for t, row in enumerate(rows, 1))]) + "\n")
+        with pytest.raises(ValueError, match=r"log.jsonl: t out of sequence \(expected 1\) in the log row at t=7$"):
+            import_log_jsonl(path)
+
+    def test_jsonl_import_counts_t_across_chunks(self, tmp_path):
+        path = export_log(make_log([0.5] * 2500), tmp_path / "log.jsonl")
+        meta, *rows = path.read_text().splitlines()
+        del rows[1499]  # t = 1500, in the second chunk of 1,024 rows
+        path.write_text("\n".join([meta, *rows]) + "\n")
+        with pytest.raises(ValueError, match=r"log.jsonl: t out of sequence \(expected 1500\) in the log row at t=1501$"):
+            import_log_jsonl(path)
 
     def test_row_with_numpy_int_fields_is_accepted(self):
         row = dataclasses.replace(make_rows([0.5])[0], t=np.int64(1), domain=np.int32(0), reset=np.int64(0))
