@@ -136,6 +136,9 @@ class ExperimentConfig:
                     f"{where}.times must lie within the stream's {self.stream.horizon} steps, "
                     f"got {policy.times[-1]}"
                 )
+            scale = policy.trigger.time_unit_scale if hasattr(policy, "trigger") else self.batch_size
+            if scale != self.batch_size:
+                raise ConfigError(f"{where}.trigger.time_unit_scale must equal batch_size {self.batch_size}, got {scale}")
 
 
 # the JSON type that a scalar field's annotation asks for, and its name in messages

@@ -322,6 +322,7 @@ def build_model(config: ExperimentConfig, seed: int) -> tuple[ModelState, float]
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # DivergenceError alone reports a divergence
 def run_experiment(
     config: ExperimentConfig,
     seed: int,
@@ -363,8 +364,7 @@ def run_experiment(
         return DivergenceError(f"non-finite {what}", step=t, log=log)
 
     for t in range(1, horizon + 1):
-        batch = sample_batch(schedule, t, source, batch_size)
-        features, labels = batch.features, batch.labels
+        features, labels, domain = sample_batch(schedule, t, source, batch_size)
         try:
             prev_pred, curr_pred = adapt_batch(model, features, loss, learning_rate, momentum)
         except ValueError:
@@ -391,7 +391,7 @@ def run_experiment(
         lf_ema, lf_min = state.lf_ema, state.lf_min
         decision = policy_step(policy, state, model)
         append((
-            t, batch.domain_index, accuracy, raw, lf_ema, lf_min,
+            t, domain, accuracy, raw, lf_ema, lf_min,
             decision.slope, decision.threshold, decision.reinitialize, decision.lam,
         ))
     return log

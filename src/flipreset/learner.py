@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +51,7 @@ class DivergenceError(RuntimeError):
         self.log = log
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """One snapshot's argmax classes and their probabilities on a batch."""
 
     classes: np.ndarray
@@ -317,6 +317,7 @@ class PretrainConfig:
         return n, n_holdout
 
 
+@np.errstate(over="ignore", invalid="ignore")  # DivergenceError alone reports a divergence
 def pretrain_source(
     source: SourceDistribution, settings: PretrainConfig, rng: np.random.Generator
 ) -> tuple[ModelState, float]:

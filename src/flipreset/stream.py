@@ -17,6 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -214,18 +215,13 @@ class DomainSchedule:
         return [(d.kind, d.severity)]
 
 
-@dataclass(frozen=True)
-class LabeledBatch:
+class LabeledBatch(NamedTuple):
     """Corrupted features plus ground-truth labels. Labels are for metrics
     only and must never reach the learner."""
 
     features: np.ndarray
     labels: np.ndarray
     domain_index: int
-
-    def __post_init__(self) -> None:
-        if len(self.features) != len(self.labels):
-            raise ValueError("features/labels length mismatch")
 
 
 def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:

@@ -1,6 +1,8 @@
 """CLI contracts: subcommands, flags, exit codes, deterministic output."""
 
 import json
+import re
+import warnings
 
 import pytest
 
@@ -38,6 +40,21 @@ def diverging_pretraining(tmp_path):
     """SMALL with a pretraining rate whose loss goes non-finite at epoch 1."""
     cfg = dict(SMALL, learner={"pretrain": {"samples_per_class": 100, "epochs": 60, "learning_rate": 1e308}})
     path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.fixture
+def runaway_momentum(tmp_path):
+    """SMALL with a momentum whose weights go non-finite within the run."""
+    cfg = dict(SMALL, stream={"num_domains": 10, "batches_per_domain": 50})
+    cfg["learner"] = {
+        "loss": "entropy",
+        "learning_rate": 1.0,
+        "momentum": 25.0,
+        "pretrain": {"samples_per_class": 100, "epochs": 60},
+    }
+    path = tmp_path / "runaway.json"
     path.write_text(json.dumps(cfg))
     return str(path)
 
@@ -82,28 +99,24 @@ class TestExitCodes:
         assert main(["run", "--config", str(path)]) == 1
         assert "reset_policy" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_divergence_exits_two_and_flushes_rows(self, tmp_path, capsys):
-        cfg = dict(SMALL)
-        cfg["learner"] = {
-            "loss": "entropy",
-            "learning_rate": 1.0,
-            "momentum": 25.0,
-            "pretrain": {"samples_per_class": 100, "epochs": 60},
-        }
-        cfg["stream"] = {"num_domains": 10, "batches_per_domain": 50}
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(cfg))
+    def test_divergence_exits_two_and_flushes_rows(self, runaway_momentum, tmp_path, capsys):
         out = tmp_path / "partial.csv"
-        code = main(["run", "--config", str(path), "--out", str(out)])
+        code = main(["run", "--config", runaway_momentum, "--out", str(out)])
         assert code == 2
         assert "(t=" in capsys.readouterr().err
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) > 1  # completed rows flushed before the abort
 
+    def test_divergence_is_reported_by_its_aborted_line_alone(self, runaway_momentum, capsys):
+        # numpy's overflow in the momentum step would be a second report
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", runaway_momentum]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"aborted: non-finite parameters \(t=\d+\)\n", captured.err)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_stream_exits_two_and_flushes_rows(self, tmp_path, capsys):
         cfg = dict(SMALL)
         # a finite severity whose scaled features overflow to inf
@@ -139,7 +152,6 @@ class TestExitCodes:
         assert "seeds must be non-negative" in err
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("command", ["run"])
     def test_pretraining_divergence_names_epoch(self, command, diverging_pretraining, capsys):
         assert main([command, "--config", diverging_pretraining]) == 2
@@ -147,7 +159,6 @@ class TestExitCodes:
         assert "aborted: pretraining loss non-finite at epoch 1" in err
         assert "(t=" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_compare_marks_the_seeds_whose_pretraining_diverges(self, diverging_pretraining, capsys):
         assert main(["compare", "--config", diverging_pretraining]) == 0
         captured = capsys.readouterr()
@@ -222,6 +233,12 @@ class TestCompare:
         path.write_text(json.dumps({**SMALL, "policies": {"abr": {"kind": "abr"}}}))
         assert main(["compare", "--config", str(path)]) == 1
         assert "at least two policies" in capsys.readouterr().err
+
+    def test_config_without_policies_fails_contract(self, tmp_path, capsys):
+        path = tmp_path / "none.json"
+        path.write_text(json.dumps({k: v for k, v in SMALL.items() if k != "policies"}))
+        assert main(["compare", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: compare requires a 'policies' map in the config\n"
 
     def test_table_written_to_out(self, config_path, tmp_path, capsys):
         out = tmp_path / "table.txt"

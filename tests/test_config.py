@@ -176,6 +176,13 @@ def test_json_integer_in_float_field_becomes_float():
     assert config_from_dict({"stream": {"class_separation": 2**53}}).stream.class_separation == 2.0**53
 
 
+def test_replacing_batch_size_rejects_the_parsed_trigger_clocks():
+    # a parsed trigger counts the samples of a batch_size batch each step
+    config = load_config(CONFIG_DIR / "collapse.json")
+    with pytest.raises(ConfigError, match=r"^policies\.abr\.trigger\.time_unit_scale must equal batch_size 32, got 64\.0$"):
+        dataclasses.replace(config, batch_size=32)
+
+
 # JSON values of every type, with the schema's own words among the strings
 WORDS = [*POLICY_KINDS, *(kind.value for kind in CorruptionKind), "abrupt", "linear", "entropy", "rpl"]
 JSON = st.recursive(
@@ -253,7 +260,6 @@ def cut_to_two_batches(d: dict) -> dict:
     return {**d, "stream": stream}
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @settings(max_examples=600, deadline=None)
 @given(CONFIGS)
 # pretraining's first step takes the weights to inf at a finite loss

@@ -123,7 +123,6 @@ class TestRunExperiment:
             if row.reset:
                 assert row.lam == 1.0
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_aborts_with_partial_rows(self):
         cfg = small_config(
             learner={
@@ -149,7 +148,7 @@ class TestRunExperiment:
         def nan_at_step_3(*args):
             prev_pred, curr_pred = adapt_batch(*args)
             if next(steps) == 3:  # as logits that overflow for the previous-step weights alone give
-                prev_pred = dataclasses.replace(prev_pred, confidence=np.full_like(prev_pred.confidence, np.nan))
+                prev_pred = prev_pred._replace(confidence=np.full_like(prev_pred.confidence, np.nan))
             return prev_pred, curr_pred
 
         monkeypatch.setattr(harness, "adapt_batch", nan_at_step_3)
@@ -351,7 +350,6 @@ class TestLogColumns:
         other = dataclasses.replace(log, rows=changed)
         assert other != log and list(other.rows) == changed
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverged_run_keeps_its_completed_rows(self, tmp_path):
         cfg = small_config(
             learner={
@@ -758,7 +756,6 @@ class TestComparePolicies:
                     "reset_count": log.reset_count(),
                 }
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_pretraining_divergence_fails_every_cell_of_the_seed(self, monkeypatch):
         calls = []
 
@@ -789,7 +786,6 @@ class TestComparePolicies:
         with pytest.raises(ValueError, match="two policies"):
             compare_policies(dataclasses.replace(cfg, policies={"a": NoReset()}))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergent_cell_marked_not_fatal(self):
         cfg = small_config(
             learner={

@@ -455,7 +455,6 @@ class TestPretrainSource:
             pretrain(rng, samples_per_class=1, holdout_fraction=0.9)
         assert PretrainConfig(samples_per_class=1, holdout_fraction=0.5).split(2) == (2, 1)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_raises(self, rng):
         # the first step's weights overflow the logits of the second
         with pytest.raises(DivergenceError, match="pretraining loss non-finite at epoch 1") as excinfo:
@@ -463,7 +462,6 @@ class TestPretrainSource:
         err = excinfo.value
         assert err.epoch == 1 and err.step is None and err.log is None
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("epochs", [1, 3], ids=["last epoch", "epoch before another"])
     def test_weights_overflowing_in_a_step_raise(self, rng, epochs):
         # the loss is finite, but the first step takes the weights to inf,
