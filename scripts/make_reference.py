@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the checkout's own sources, ahead of any installed copy
+sys.path.insert(0, str(ROOT / "src"))
 
 from flipreset.config import load_config
 from flipreset.harness import run_experiment

@@ -28,6 +28,7 @@ __all__ = [
     "ModelState",
     "softmax_forward",
     "predict",
+    "adapt_gradient",
     "entropy_loss",
     "entropy_grad",
     "rpl_loss",
@@ -62,6 +63,20 @@ class Prediction(NamedTuple):
 class EntropyMin:
     """Adapt by minimizing mean Shannon entropy of the predictions."""
 
+    def logit_grad(self, p: np.ndarray) -> np.ndarray:
+        """Per-sample logit gradient of :func:`entropy_loss` from probabilities ``p``, left as they are."""
+        # dH/dp, v = -(log(p + EPS) + p / (p + EPS)), then pull back through
+        # the softmax Jacobian, p * (v - sum(v * p)); built in place, bit for bit
+        v = p + EPS
+        work = p / v
+        np.log(v, out=v)
+        v += work
+        np.negative(v, out=v)
+        np.multiply(v, p, out=work)
+        v -= np.add.reduce(work, axis=1, keepdims=True)
+        v *= p
+        return v
+
 
 @dataclass(frozen=True)
 class RobustPseudoLabel:
@@ -73,6 +88,15 @@ class RobustPseudoLabel:
     def __post_init__(self) -> None:
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must lie in (0, 1], got {self.q}")
+
+    def logit_grad(self, p: np.ndarray) -> np.ndarray:
+        """Per-sample logit gradient of :func:`rpl_loss`, argmax labels held fixed, in place of C-contiguous ``p``."""
+        at_pseudo = _flat_index(p.argmax(axis=1), p.shape[1])
+        coef = p.take(at_pseudo)
+        coef **= self.q
+        p *= coef[:, None]
+        p.ravel()[at_pseudo] -= coef
+        return p
 
 
 AdaptLoss = EntropyMin | RobustPseudoLabel
@@ -191,25 +215,19 @@ def _theta_grad(gz: np.ndarray, batch: np.ndarray) -> np.ndarray:
     return np.concatenate((gz.T.dot(batch).ravel(), bias))
 
 
+def adapt_gradient(loss: AdaptLoss, theta: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """theta's gradient of an adaptation loss: one softmax pass, made into the loss's logit gradient."""
+    batch = _as_batch(batch)
+    return _theta_grad(loss.logit_grad(softmax_forward(theta, batch)), batch)
+
+
 def entropy_grad(theta: np.ndarray, batch: np.ndarray) -> np.ndarray:
     """Gradient of :func:`entropy_loss` with respect to theta.
 
     Uses the analytic derivative of the guarded loss so finite differences
     of :func:`entropy_loss` agree to machine-level precision.
     """
-    batch = _as_batch(batch)
-    p = softmax_forward(theta, batch)
-    # dH/dp, v = -(log(p + EPS) + p / (p + EPS)), then pull back through
-    # the softmax Jacobian, p * (v - sum(v * p)); built in place, bit for bit
-    v = p + EPS
-    work = p / v
-    np.log(v, out=v)
-    v += work
-    np.negative(v, out=v)
-    np.multiply(v, p, out=work)
-    v -= np.add.reduce(work, axis=1, keepdims=True)
-    v *= p
-    return _theta_grad(v, batch)
+    return adapt_gradient(EntropyMin(), theta, batch)
 
 
 def rpl_loss(theta: np.ndarray, batch: np.ndarray, labels: np.ndarray, q: float) -> float:
@@ -225,17 +243,7 @@ def rpl_grad(theta: np.ndarray, batch: np.ndarray, q: float) -> np.ndarray:
     The pseudo-labels are recomputed from theta, then treated as constants
     during differentiation.
     """
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q must lie in (0, 1], got {q}")
-    batch = _as_batch(batch)
-    p = softmax_forward(theta, batch)
-    at_pseudo = _flat_index(p.argmax(axis=1), p.shape[1])
-    coef = p.take(at_pseudo)
-    coef **= q
-    # p is fresh and C-contiguous, so it becomes the logit gradient in place
-    p *= coef[:, None]
-    p.ravel()[at_pseudo] -= coef
-    return _theta_grad(p, batch)
+    return adapt_gradient(RobustPseudoLabel(q), theta, batch)
 
 
 def _frozen_copy(theta: np.ndarray) -> np.ndarray:
@@ -361,14 +369,6 @@ def pretrain_source(
     return model, float(np.mean(holdout_pred.classes == labels[hold_idx]))
 
 
-def adapt_gradient(model: ModelState, batch: np.ndarray, loss: AdaptLoss) -> np.ndarray:
-    if isinstance(loss, EntropyMin):
-        return entropy_grad(model.theta, batch)
-    if isinstance(loss, RobustPseudoLabel):
-        return rpl_grad(model.theta, batch, loss.q)
-    raise TypeError(f"unknown adaptation loss: {loss!r}")
-
-
 def adapt_batch(
     model: ModelState, batch: np.ndarray, loss: AdaptLoss, learning_rate: float, momentum: float
 ) -> tuple[Prediction, Prediction]:
@@ -382,5 +382,5 @@ def adapt_batch(
     curr_pred = predict(model.theta, batch)
     # sgd_step gives theta a new array and never writes into the old one
     model.theta_prev_snapshot = model.theta
-    sgd_step(model, adapt_gradient(model, batch, loss), learning_rate, momentum)
+    sgd_step(model, adapt_gradient(loss, model.theta, batch), learning_rate, momentum)
     return prev_pred, curr_pred

@@ -7,6 +7,7 @@ Regenerate them with scripts/make_golden.py only for a change that is
 meant to move the dynamics or a file format, and say so in CHANGES.md.
 """
 
+import functools
 import hashlib
 import json
 
@@ -21,6 +22,18 @@ from conftest import CONFIG_DIR, DATA_DIR
 GOLDEN = json.loads((DATA_DIR / "golden_logs.json").read_text(encoding="utf-8"))
 
 
+@functools.cache
+def golden_run(name):
+    """A golden entry's source model and the log of its run, made once for
+    every test that reads them."""
+    entry = GOLDEN[name]
+    config = load_config(CONFIG_DIR.parent / entry["config"])
+    policy = entry["policy"]
+    model, _ = build_model(config, entry["seed"])
+    log = run_experiment(config, entry["seed"], policy=config.policies[policy], policy_name=policy, model=model)
+    return model, log
+
+
 def assert_exports_match(log, entry, tmp_path):
     for fmt in ("jsonl", "csv"):
         path = export_log(log, tmp_path / f"run.{fmt}")
@@ -30,11 +43,8 @@ def assert_exports_match(log, entry, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_exported_log_is_bitwise_identical(name, tmp_path):
     entry = GOLDEN[name]
-    config = load_config(CONFIG_DIR.parent / entry["config"])
-    policy = entry["policy"]
-    model, _ = build_model(config, entry["seed"])
+    model, log = golden_run(name)
     assert hashlib.sha256(model.theta_source.tobytes()).hexdigest() == entry["theta_source_sha256"]
-    log = run_experiment(config, entry["seed"], policy=config.policies[policy], policy_name=policy, model=model)
     assert_exports_match(log, entry, tmp_path)
 
 
@@ -48,15 +58,13 @@ def test_forced_full_restore_reproduces_hard_reset(tmp_path):
     assert_exports_match(log, entry, tmp_path)
 
 
-@pytest.mark.parametrize("name", ["quick", "rpl_hard_reset", "k8", "k10_odd"])
+@pytest.mark.parametrize("name", ["quick", "collapse", "rpl_hard_reset", "k8", "k10_odd"])
 def test_logged_slope_rule_marks_every_reset(name, tmp_path):
     # the log contract: an adaptive policy resets at a row exactly when the
     # row is past warm-up and its slope exceeds its threshold
     entry = GOLDEN[name]
-    config = load_config(CONFIG_DIR.parent / entry["config"])
-    policy = config.policies[entry["policy"]]
-    run = run_experiment(config, entry["seed"], policy=policy, policy_name=entry["policy"])
-    log = import_log_jsonl(export_log(run, tmp_path / f"{name}.jsonl"))
+    policy = load_config(CONFIG_DIR.parent / entry["config"]).policies[entry["policy"]]
+    log = import_log_jsonl(export_log(golden_run(name)[1], tmp_path / f"{name}.jsonl"))
     last_reset = 0
     for row in log.rows:
         if row.slope is None:
