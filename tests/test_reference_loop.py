@@ -29,8 +29,6 @@ def outcome(run, *args, **kwargs):
         error = None
     except DivergenceError as exc:
         log, error = exc.log, (str(exc), exc.step, exc.epoch)
-        if log is not None:
-            assert exc.step == log.aborted_at
     if log is None:
         return None, error
     columns = {name: log.rows.column(name).view(np.int64).tolist() for name in COLUMNS}
@@ -38,6 +36,7 @@ def outcome(run, *args, **kwargs):
 
 
 def assert_same_run(*args, **kwargs):
+    """The reference's outcome of a run, which run_experiment must give too."""
     expected = outcome(reference_run, *args, **kwargs)
     assert outcome(run_experiment, *args, **kwargs) == expected
     return expected
@@ -84,28 +83,31 @@ def test_committed_config_matches_the_reference(name, policy):
     assert len(columns["t"]) == config.stream.horizon
 
 
-SMALL_RUN = {"stream": {"num_domains": 2, "batches_per_domain": 150}, "learner": {"pretrain": {"samples_per_class": 50, "epochs": 20}}}
+QUICK_PRETRAINING = {"pretrain": {"samples_per_class": 50, "epochs": 20}}
 
 
 @pytest.mark.parametrize(
-    ("changes", "message", "step"),
+    ("d", "message", "step"),
     [
         # runaway momentum takes the weights past the largest float
-        ({"learner": {"learning_rate": 1.0, "momentum": 25.0}}, "non-finite parameters", 223),
+        (
+            {"stream": {"num_domains": 2, "batches_per_domain": 150},
+             "learner": {"learning_rate": 1.0, "momentum": 25.0, **QUICK_PRETRAINING}},
+            "non-finite parameters",
+            223,
+        ),
         # the second domain scales the features past the largest float
         (
             {"stream": {"domains": [{"kind": "feature_scale", "severity": 0.0}, {"kind": "feature_scale", "severity": 1e308}],
-                        "batches_per_domain": 20}},
+                        "batches_per_domain": 20},
+             "learner": QUICK_PRETRAINING},
             "non-finite features",
             21,
         ),
     ],
     ids=["momentum", "feature_scale"],
 )
-def test_a_run_that_diverges_matches_the_reference(changes, message, step):
-    d = {key: {**SMALL_RUN[key], **changes.get(key, {})} for key in SMALL_RUN}
-    if "domains" in d["stream"]:
-        del d["stream"]["num_domains"]
+def test_a_run_that_diverges_matches_the_reference(d, message, step):
     (_, _, aborted_at, columns), error = assert_same_run(config_from_dict(d), 0)
     assert error == (message, step, None)
     assert aborted_at == step and len(columns["t"]) == step - 1
