@@ -528,6 +528,7 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
     number, is not one JSON object of exactly the log's keys, if a row
     breaks a rule of :func:`_block`, or if ``aborted_at`` is not null and
     not the step after the last row, where a diverged run stops its log.
+    Of the row lines, the first at fault in the file is named.
     """
     with open(path, encoding="utf-8") as fh:
         # newlines read as "\n"; blank lines are skipped, but counted in
@@ -550,37 +551,35 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
         blocks, n_rows = [np.empty((len(_COLUMNS), 0))], 0
         while chunk := list(islice(fh, _CHUNK)):
             texts = [line for line in chunk if line != "\n"]
-            # one decode per chunk of lines, transposed into columns
-            try:
-                rows = decode("[" + ",".join(texts) + "]")
-            except ValueError:  # not JSON, or an integer past Python's digit limit
-                rows = []
-            if len(rows) != len(texts):
-                # one line is one row: decode the lines one at a time, up to
-                # the first that is not exactly one JSON value
-                rows = []
-                for n, line in _numbered(chunk, read):
-                    try:
-                        rows.append(decode(line))
-                    except ValueError as exc:
-                        raise _not_json(path, f"line {n}", exc) from None
-            # each row an object holding every key of the log, and the chunk
+            # one decode per chunk of lines, transposed into columns: one row a
+            # line, each an object holding every key of the log, and the chunk
             # ten keys a row in all, so that no row holds another key
             try:
+                rows = decode("[" + ",".join(texts) + "]")
                 values = list(map(_json_values, rows))
-            except (KeyError, TypeError):
-                values = []
-            if len(values) != len(rows) or sum(map(len, rows)) != len(_COLUMNS) * len(rows):
-                keys = set(_COLUMNS.values())
-                lines = _numbered(chunk, read)
-                n = next(n for (n, _), row in zip(lines, rows) if type(row) is not dict or row.keys() != keys)
-                raise ValueError(f"{path}: line {n} must be an object of exactly the keys {CSV_HEADER}")
-            try:
-                blocks.append(_block(list(zip(*values)), n_rows + 1))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+                fits = len(rows) == len(texts) and sum(map(len, rows)) == len(_COLUMNS) * len(rows)
+                block = _broken_rule(list(zip(*values)), n_rows + 1) if fits else None
+            except (ValueError, KeyError, TypeError):  # ValueError: not JSON, or past Python's digit limit
+                block = None
+            if not isinstance(block, np.ndarray):
+                # the chunk has a fault: walk its lines in order, up to the
+                # first that is not one JSON object of exactly the log's keys
+                # or whose row breaks a rule of _block; lines that each pass
+                # alone pass together, so the walk always raises
+                for t, (n, line) in enumerate(_numbered(chunk, read), n_rows + 1):
+                    try:
+                        row = decode(line)
+                    except ValueError as exc:
+                        raise _not_json(path, f"line {n}", exc) from None
+                    if type(row) is not dict or row.keys() != set(_COLUMNS.values()):
+                        raise ValueError(f"{path}: line {n} must be an object of exactly the keys {CSV_HEADER}")
+                    try:
+                        _block([[v] for v in _json_values(row)], t)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: {exc}") from None
+            blocks.append(block)
             read += len(chunk)
-            n_rows += len(values)
+            n_rows += block.shape[1]
     columns = LogColumns._of(np.concatenate(blocks, axis=1))
     _check_aborted_at(path, meta["aborted_at"], len(columns))
     return ExperimentLog(policy_name=meta["policy"], seed=meta["seed"], rows=columns, aborted_at=meta["aborted_at"])

@@ -167,8 +167,8 @@ def threshold_value(delta_t: int, cfg: TriggerConfig) -> float:
     """Per-step slope threshold ``delta_t`` steps after the minimum:
     beta * sqrt(scale) / sqrt(delta_t).
 
-    Comparing the per-step slope against this value is the same inequality
-    as comparing the per-sample slope against beta / sqrt(delta_t * scale).
+    Comparing the per-step slope against this value is, up to rounding, the
+    bound beta / sqrt(delta_t * scale) on the per-sample slope.
     """
     return cfg.beta * math.sqrt(cfg.time_unit_scale) / math.sqrt(delta_t)
 
@@ -183,9 +183,9 @@ def _fires(state: FlipSignalState, rise: tuple[float, int] | None, cfg: TriggerC
 def trigger_check(state: FlipSignalState, cfg: TriggerConfig) -> bool:
     """True iff the smoothed trajectory rose fast enough since its minimum.
 
-    Evaluates ``delta_lf > beta * sqrt(delta_t * scale)``, which is
-    algebraically the slope-vs-threshold inequality rearranged to avoid
-    the division; always false during the post-reset warm-up window.
+    Evaluates ``delta_lf > beta * sqrt(delta_t * scale)``: the logged
+    ``slope > threshold`` rearranged to avoid the division, equal to it up
+    to rounding; always false during the post-reset warm-up window.
     """
     return _fires(state, _rise(state), cfg)
 

@@ -657,6 +657,14 @@ class TestExport:
         with pytest.raises(ValueError, match=r"log.jsonl: t out of sequence \(expected 1\) in the log row at t=7$"):
             import_log_jsonl(path)
 
+    def test_rows_breaking_two_rules_name_the_earlier_row(self):
+        rows = make_rows([0.5, 0.25, 1.0])
+        # the later row breaks the rule that is checked first
+        rows[0] = dataclasses.replace(rows[0], accuracy=7.5)
+        rows[2] = dataclasses.replace(rows[2], domain=None)
+        with pytest.raises(ValueError, match=r"accuracy outside \[0, 1\] in the log row at t=1$"):
+            ExperimentLog("x", 0, rows=rows)
+
     def test_jsonl_import_counts_t_across_chunks(self, tmp_path):
         path = export_log(make_log([0.5] * 2500), tmp_path / "log.jsonl")
         meta, *rows = path.read_text().splitlines()
@@ -706,6 +714,40 @@ class TestExport:
         path = export_log(make_log([0.5, 0.25, 1.0]), tmp_path / "log.jsonl")
         meta, *rows = path.read_text().splitlines()
         path.write_text("\n".join([meta, *change(rows)]) + "\n")
+        with pytest.raises(ValueError, match=f"log.jsonl: {re.escape(named)}"):
+            import_log_jsonl(path)
+
+    # how a row line is broken, and what the error names for it on file line n
+    FAULTS = {
+        "rule": (lambda line: line.replace('"accuracy": 0.5', '"accuracy": 7.5'), "accuracy outside [0, 1] in the log row at t={t}"),
+        "not JSON": (lambda line: "{oops", "line {n} is not readable JSON"),
+        "other keys": (lambda line: line.replace("}", ', "note": 1}'), "line {n} must be an object of exactly the keys"),
+    }
+
+    # two faults, each as (fault, file line), the first in the file first; the
+    # first chunk of 1,024 rows ends on line 1,025, after the meta line
+    @pytest.mark.parametrize(
+        ("first", "second"),
+        [
+            (("rule", 4), ("not JSON", 901)),
+            (("not JSON", 4), ("rule", 901)),
+            (("rule", 4), ("not JSON", 1101)),
+            (("not JSON", 4), ("rule", 1101)),
+            (("rule", 4), ("other keys", 901)),
+            (("other keys", 4), ("rule", 901)),
+        ],
+        ids=["rule fault, then not JSON", "not JSON, then rule fault",
+             "rule fault, then not JSON in the next chunk", "not JSON, then rule fault in the next chunk",
+             "rule fault, then other keys", "other keys, then rule fault"],
+    )
+    def test_jsonl_import_names_the_first_bad_line(self, tmp_path, first, second):
+        path = export_log(make_log([0.5] * 1500), tmp_path / "log.jsonl")
+        lines = path.read_text().splitlines()
+        for fault, n in (first, second):
+            lines[n - 1] = self.FAULTS[fault][0](lines[n - 1])
+        path.write_text("\n".join(lines) + "\n")
+        fault, n = first
+        named = self.FAULTS[fault][1].format(n=n, t=n - 1)
         with pytest.raises(ValueError, match=f"log.jsonl: {re.escape(named)}"):
             import_log_jsonl(path)
 
