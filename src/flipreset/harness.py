@@ -213,7 +213,10 @@ class LogColumns(Sequence[LogRow]):
         self._n += 1
 
     def column(self, name: str) -> np.ndarray:
-        """A read-only view of one field's values, NaN where a row has None."""
+        """A read-only view of one :class:`LogRow` field's values, NaN where a
+        row has None; raises ValueError for any other name."""
+        if name not in _COLUMNS:
+            raise ValueError(f"no log field {name!r}; the fields are {', '.join(_COLUMNS)}")
         view = self._columns[list(_COLUMNS).index(name), : self._n]
         view.flags.writeable = False
         return view

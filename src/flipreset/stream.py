@@ -12,7 +12,6 @@ hashes every batch's seed of a schedule at once.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -49,8 +48,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 # a batch index is one 32-bit word of its batch's seed
 MAX_HORIZON = _MASK32
-# a raw 64-bit word viewed as two 32-bit halves gives its low half first
-_LOW_HALF_FIRST = sys.byteorder == "little"
 
 
 class CorruptionKind(str, Enum):
@@ -134,26 +131,9 @@ class SourceDistribution:
         d.setflags(write=False)
         return d
 
-    @cached_property
-    def _label_shift(self) -> np.uint32 | None:
-        """``32 - log2(n_classes)`` for a power-of-two class count, else None."""
-        k = self.n_classes
-        return None if k & (k - 1) or k > 2**32 else np.uint32(33 - k.bit_length())
-
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """``n`` labels, drawn as ``rng.integers(0, n_classes, size=n)`` draws
-        them, and their features."""
-        shift, bits = self._label_shift, rng.bit_generator
-        if shift is None or n % 2 or type(bits) is not PCG64 or not _LOW_HALF_FIRST or bits.state["has_uint32"]:
-            labels = rng.integers(0, self.n_classes, size=n)
-        else:
-            # integers maps a 32-bit draw x to (x * K) >> 32 by Lemire's rule,
-            # whose rejection threshold (2**32 - K) % K is 0 for a power-of-two
-            # K; PCG64 gives a word's low half, then its high half, so an even
-            # count of halves leaves none buffered and later draws unchanged
-            halves = bits.random_raw(n // 2).view(np.uint32)
-            halves >>= shift
-            labels = halves.astype(np.int64)
+        """``n`` labels drawn by ``rng.integers(0, n_classes, size=n)``, and their features."""
+        labels = rng.integers(0, self.n_classes, size=n)
         # the class means added into the fresh normals: addition commutes, bit for bit
         features = rng.standard_normal((n, self.n_features))
         features += self.means.take(labels, axis=0)

@@ -343,6 +343,13 @@ class TestLogColumns:
             rows.append(dataclasses.astuple(self.GIVEN[5]))
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("name", ["lambda", "_columns"])
+    def test_column_names_an_unknown_field_and_lists_the_fields(self, name):
+        rows = ExperimentLog("x", 0, rows=self.GIVEN[:3]).rows
+        fields = "t, domain, accuracy, lf_raw, lf_ema, lf_min, slope, threshold, reset, lam"
+        with pytest.raises(ValueError, match=re.escape(f"no log field {name!r}; the fields are {fields}") + "$"):
+            rows.column(name)
+
     def test_replace_round_trips(self):
         log = ExperimentLog("x", 0, rows=self.GIVEN)
         assert dataclasses.replace(log, rows=list(log.rows)) == log

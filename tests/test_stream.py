@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from numpy.random import MT19937, PCG64, Generator
 
-from flipreset import stream
 from flipreset.stream import (
     DEFAULT_SEVERITY_RANGES,
     CorruptionKind,
@@ -23,18 +22,6 @@ from flipreset.stream import (
 )
 
 SOURCE = SourceDistribution()
-
-
-class CountingGenerator(Generator):
-    """A generator that counts the calls of its ``integers``."""
-
-    def __init__(self, bit_generator):
-        super().__init__(bit_generator)
-        self.calls = 0
-
-    def integers(self, *args, **kwargs):
-        self.calls += 1
-        return super().integers(*args, **kwargs)
 
 
 class TestMakeSchedule:
@@ -325,53 +312,36 @@ class TestSourceDistribution:
             assert features.tobytes() == expected.tobytes()
 
     def test_labels_are_the_integers_draw(self):
-        # every class count 2..16 and batch size 0..130, a seed of its own
-        # for each; odd sizes and class counts other than powers of two draw
-        # with integers itself, the rest from raw words
+        # every class count 2..16 and batch size 0..130, a seed of its own for each
         for seed, (k, n) in enumerate(itertools.product(range(2, 17), range(131))):
             source = SourceDistribution(k, 16)
-            spied, plain = CountingGenerator(PCG64(seed)), Generator(PCG64(seed))
-            _, labels = source.sample(n, spied)
+            drawn, plain = Generator(PCG64(seed)), Generator(PCG64(seed))
+            _, labels = source.sample(n, drawn)
             expected = plain.integers(0, k, size=n)
             assert labels.dtype == expected.dtype and labels.tobytes() == expected.tobytes(), (k, n, seed)
-            assert spied.calls == bool(n % 2 or k & (k - 1)), (k, n)
             plain.standard_normal((n, 16))
-            # the states differ at most in the stale half word that integers
-            # leaves in a slot marked empty
-            state, expected_state = spied.bit_generator.state, plain.bit_generator.state
-            if not expected_state["has_uint32"]:
-                state["uinteger"] = expected_state["uinteger"]
-            assert state == expected_state
+            assert drawn.bit_generator.state == plain.bit_generator.state, (k, n, seed)
             # pretraining goes on to draw its permutation and weights
-            assert spied.permutation(n).tobytes() == plain.permutation(n).tobytes()
-            assert spied.standard_normal(3).tobytes() == plain.standard_normal(3).tobytes()
-            assert spied.integers(0, 7, size=3).tobytes() == plain.integers(0, 7, size=3).tobytes()
+            assert drawn.permutation(n).tobytes() == plain.permutation(n).tobytes()
+            assert drawn.standard_normal(3).tobytes() == plain.standard_normal(3).tobytes()
+            assert drawn.integers(0, 7, size=3).tobytes() == plain.integers(0, 7, size=3).tobytes()
 
     @pytest.mark.parametrize(
         "make",
-        [lambda seed: CountingGenerator(MT19937(seed)), lambda seed: CountingGenerator(PCG64(seed))],
+        [lambda seed: Generator(MT19937(seed)), lambda seed: Generator(PCG64(seed))],
         ids=["MT19937", "PCG64 holding half a word"],
     )
     def test_other_generators_draw_with_integers(self, make):
         source = SourceDistribution(4, 16)
         for seed in range(200):
-            spied, plain = make(seed), make(seed)
-            if isinstance(spied.bit_generator, PCG64):
+            drawn, plain = make(seed), make(seed)
+            if isinstance(drawn.bit_generator, PCG64):
                 # an odd count of 32-bit draws leaves the high half of a word buffered
-                spied.integers(0, 4, size=1), plain.integers(0, 4, size=1)
-            before = spied.calls
-            _, labels = source.sample(64, spied)
-            assert spied.calls == before + 1
+                drawn.integers(0, 4, size=1), plain.integers(0, 4, size=1)
+            _, labels = source.sample(64, drawn)
             assert labels.tobytes() == plain.integers(0, 4, size=64).tobytes()
             plain.standard_normal((64, 16))
-            assert spied.standard_normal(3).tobytes() == plain.standard_normal(3).tobytes()
-
-    def test_a_host_that_views_the_high_half_first_draws_with_integers(self, monkeypatch):
-        monkeypatch.setattr(stream, "_LOW_HALF_FIRST", False)
-        spied = CountingGenerator(PCG64(5))
-        _, labels = SourceDistribution(4, 16).sample(64, spied)
-        assert spied.calls == 1
-        assert labels.tobytes() == Generator(PCG64(5)).integers(0, 4, size=64).tobytes()
+            assert drawn.standard_normal(3).tobytes() == plain.standard_normal(3).tobytes()
 
     def test_class_means_separated(self, rng):
         x, y = SOURCE.sample(50000, rng)
