@@ -6,53 +6,15 @@ and triggers weight re-initialization when the trajectory rises sharply off
 its running minimum. Restoration blends the frozen source weights with the
 adapted weights. A harness plus CLI evaluate the policy against no-reset and
 clock-based baselines on synthetic drifting streams.
+
+Every name in a library module's ``__all__`` is importable from here.
 """
 
-from .config import ConfigError, ExperimentConfig, load_config
-from .flip_signal import FlipSignalState, observe_batch
-from .harness import (
-    ComparisonSummary,
-    ExperimentLog,
-    LogRow,
-    compare_policies,
-    export_log,
-    import_log_jsonl,
-    run_experiment,
-)
-from .learner import (
-    DivergenceError,
-    EntropyMin,
-    ModelState,
-    Prediction,
-    PretrainConfig,
-    RobustPseudoLabel,
-    adapt_batch,
-    pretrain_source,
-)
-from .policy import (
-    BalancedReset,
-    FixedInterval,
-    HardReset,
-    NoReset,
-    PolicyDecision,
-    RandomTiming,
-    TriggerConfig,
-    blend_weights,
-    compute_lambda,
-    policy_name,
-    policy_step,
-    slope,
-    trigger_check,
-)
-from .stream import (
-    CorruptionKind,
-    Domain,
-    DomainSchedule,
-    LabeledBatch,
-    SourceDistribution,
-    Transition,
-    make_schedule,
-    sample_batch,
-)
+from .config import *
+from .flip_signal import *
+from .harness import *
+from .learner import *
+from .policy import *
+from .stream import *
 
 __version__ = "0.1.0"

@@ -232,8 +232,8 @@ def _build(cls, d, where: str, **nested):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _kind(kinds: dict[str, type], name, where: str) -> type:
-    """The class that the config-file name ``name``, given at ``where``, names in ``kinds``."""
+def _kind(kinds: dict, name, where: str):
+    """What the config-file name ``name``, given at ``where``, names in ``kinds``."""
     if type(name) is not str or name not in kinds:
         raise ConfigError(f"{where} must be one of {'|'.join(kinds)}, got {name!r}")
     return kinds[name]
@@ -261,8 +261,9 @@ def _parse_transition(value) -> Transition:
 
 
 def _parse_domains(value) -> tuple[Domain, ...]:
+    kinds = {kind.value: kind for kind in CorruptionKind}
     return tuple(
-        _build(Domain, x, f"stream.domains[{i}]", kind=CorruptionKind)
+        _build(Domain, x, f"stream.domains[{i}]", kind=lambda k: _kind(kinds, k, f"stream.domains[{i}].kind"))
         for i, x in enumerate(_list(value, "stream.domains"))
     )
 
@@ -308,9 +309,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+
+    def unique(pairs: list[tuple]) -> dict:
+        # json alone would keep the last value of a key that an object repeats
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"config file {path} repeats the key {key!r} in one object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique)
+    except ConfigError:
+        raise
     except ValueError as exc:  # not JSON, not UTF-8, or an integer past Python's digit limit
         raise ConfigError(f"config file {path} is not readable JSON: {exc}") from exc
     return config_from_dict(data)

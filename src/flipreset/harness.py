@@ -473,10 +473,16 @@ def compare_policies(config: ExperimentConfig) -> ComparisonSummary:
     return ComparisonSummary(seeds=config.seeds, cells=cells)
 
 
-def _check_aborted_at(path, aborted_at: int | None, n_rows: int) -> None:
-    """Raise ValueError naming ``path`` unless ``aborted_at`` is null or the
-    step after the last of ``n_rows`` rows, where a diverged run stops its log."""
-    if aborted_at is not None and aborted_at != n_rows + 1:
+def _check_meta(path, meta: dict, n_rows: int | None = None) -> None:
+    """Raise ValueError naming ``path`` and the key unless each value of a
+    JSON-lines log's ``meta`` passes its test in ``_META`` and, once the
+    log's ``n_rows`` are given, ``aborted_at`` is null or the step after the
+    last row, where a diverged run stops its log."""
+    for key, (valid, kind) in _META.items():
+        if not valid(meta[key]):
+            raise ValueError(f"{path}: the meta line's {key} must be {kind}, got {meta[key]!r}")
+    aborted_at = meta["aborted_at"]
+    if n_rows is not None and aborted_at is not None and aborted_at != n_rows + 1:
         raise ValueError(
             f"{path}: the meta line's aborted_at must be null or the row count plus one, "
             f"{n_rows + 1}, got {aborted_at}"
@@ -487,15 +493,17 @@ def export_log(log: ExperimentLog, path: str | Path) -> Path:
     """Write a log in the format that the path's suffix names, one of
     :data:`LOG_FORMATS`.
 
-    Raises ValueError for a JSON-lines path if the log's ``aborted_at`` is
-    one that :func:`import_log_jsonl` rejects.
+    Raises ValueError for a JSON-lines path, before the file is opened, if
+    the log's policy name, seed or ``aborted_at`` is one that
+    :func:`import_log_jsonl` rejects.
     """
     path = Path(path)
     fmt = path.suffix.lower()
     if fmt not in LOG_FORMATS:
         raise ValueError(f"log path must end in {' or '.join(LOG_FORMATS)}, got {path.name!r}")
+    meta = {"policy": log.policy_name, "seed": log.seed, "aborted_at": log.aborted_at}
     if fmt == ".jsonl":
-        _check_aborted_at(path, log.aborted_at, len(log.rows))
+        _check_meta(path, meta, len(log.rows))
     path.parent.mkdir(parents=True, exist_ok=True)
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -503,7 +511,6 @@ def export_log(log: ExperimentLog, path: str | Path) -> Path:
             fh.write(CSV_HEADER + "\n")
             form = _CSV_TEXT
         else:
-            meta = {"policy": log.policy_name, "seed": log.seed, "aborted_at": log.aborted_at}
             fh.write(json.dumps(meta) + "\n")
             form = _JSON_TEXT
         fh.writelines(_text(block, *form) for block in log.rows.blocks())
@@ -547,9 +554,7 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
             raise _not_json(path, "the meta line", exc) from None
         if type(meta) is not dict or meta.keys() != _META.keys():
             raise ValueError(f"{path}: the meta line must be an object of exactly the keys {', '.join(_META)}")
-        for key, (valid, kind) in _META.items():
-            if not valid(meta[key]):
-                raise ValueError(f"{path}: the meta line's {key} must be {kind}, got {meta[key]!r}")
+        _check_meta(path, meta)
         decode = json.JSONDecoder().decode
         blocks, n_rows = [np.empty((len(_COLUMNS), 0))], 0
         while chunk := list(islice(fh, _CHUNK)):
@@ -584,5 +589,5 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
             read += len(chunk)
             n_rows += block.shape[1]
     columns = LogColumns._of(np.concatenate(blocks, axis=1))
-    _check_aborted_at(path, meta["aborted_at"], len(columns))
+    _check_meta(path, meta, len(columns))
     return ExperimentLog(policy_name=meta["policy"], seed=meta["seed"], rows=columns, aborted_at=meta["aborted_at"])

@@ -35,6 +35,7 @@ __all__ = [
     "BalancedReset",
     "ResetPolicy",
     "POLICY_KINDS",
+    "policy_name",
     "slope",
     "trigger_check",
     "compute_lambda",

@@ -87,6 +87,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "not readable JSON" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        ("text", "key"),
+        [
+            ('{"batch_size": 32, "batch_size": 64}', "batch_size"),
+            ('{"policy": {"kind": "abr", "beta": 1e-6, "beta": 2e-6}}', "beta"),
+        ],
+        ids=["top level", "in policy"],
+    )
+    def test_repeated_key_exits_one_naming_the_file_and_the_key(self, tmp_path, capsys, text, key):
+        path = tmp_path / "repeats.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: config file {path} repeats the key {key!r} in one object\n"
+
     def test_unknown_flag_rejected(self, config_path, capsys):
         assert main(["run", "--config", config_path, "--frobnicate"]) == 1
         capsys.readouterr()
@@ -195,6 +209,13 @@ class TestRun:
         assert main(["run", "--config", config_path]) == 0
         _, holdout = build_model(load_config(config_path), 0)
         assert f" holdout_acc={holdout:.4f} " in capsys.readouterr().out
+
+    def test_reports_nan_when_pretraining_holds_no_sample_out(self, tmp_path, capsys):
+        learner = dict(SMALL["learner"], pretrain=dict(SMALL["learner"]["pretrain"], holdout_fraction=0))
+        path = tmp_path / "no_holdout.json"
+        path.write_text(json.dumps(dict(SMALL, learner=learner)))
+        assert main(["run", "--config", str(path)]) == 0
+        assert " holdout_acc=nan " in capsys.readouterr().out
 
     def test_pretrains_once(self, config_path, monkeypatch, capsys):
         calls = []

@@ -51,6 +51,17 @@ MALFORMED = [
     (("policy",), {"kind": "abr", "trigger": {"beta": 1e-6}}, "trigger"),
     (("policy",), {"kind": "reset_sometimes"}, "kind"),
     (("stream", "domains"), [{"kind": "fog", "severity": 1.0}], "fog"),
+    # a domain's kind, named with its key and the choices, whatever its JSON type
+    (
+        ("stream", "domains"),
+        [{"kind": "mean_shift", "severity": 1.0}, {"kind": "nope", "severity": 1.0}],
+        "stream.domains[1].kind must be one of gaussian_noise|feature_rotation|feature_scale|mean_shift, got 'nope'",
+    ),
+    (
+        ("stream", "domains"),
+        [{"kind": 3, "severity": 1.0}],
+        "stream.domains[0].kind must be one of gaussian_noise|feature_rotation|feature_scale|mean_shift, got 3",
+    ),
     (("stream", "transition"), {"kind": "abrupt", "ramp_batches": 30}, "ramp_batches"),
     (("learner", "pretrain", "holdout_fraction"), 1.0, "holdout_fraction"),
     (("learner", "pretrain", "holdout_fraction"), 1.5, "holdout_fraction"),
@@ -174,6 +185,11 @@ def test_json_integer_in_float_field_becomes_float():
     assert config.policy.trigger.time_unit_scale == 32.0
     # the largest integer below which every integer is a float64 exactly
     assert config_from_dict({"stream": {"class_separation": 2**53}}).stream.class_separation == 2.0**53
+
+
+def test_a_null_force_lambda_is_the_key_left_out():
+    given = config_from_dict({"policy": {"kind": "abr", "force_lambda": None}}).policy
+    assert given == config_from_dict({"policy": {"kind": "abr"}}).policy and given.force_lambda is None
 
 
 def test_replacing_batch_size_rejects_the_parsed_trigger_clocks():

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flipreset import harness, learner
 from flipreset.config import config_from_dict
@@ -437,6 +438,47 @@ class TestExport:
             with pytest.raises(ValueError, match=f"row count plus one, 3, got {bad}"):
                 export_log(log, tmp_path / "bad.jsonl")
         assert not (tmp_path / "bad.jsonl").exists()
+
+    # meta values that json.dumps writes, or fails on, and the import rejects
+    BAD_EXPORT_META = [
+        (("abr", np.int64(0), None), "seed must be an integer >= 0, got np.int64(0)"),
+        (("abr", -1, None), "seed must be an integer >= 0, got -1"),
+        (("abr", True, None), "seed must be an integer >= 0, got True"),
+        ((None, 0, None), "policy must be a string, got None"),
+        ((7, 0, None), "policy must be a string, got 7"),
+        (("abr", 0, np.int64(3)), "aborted_at must be null or an integer >= 1, got np.int64(3)"),
+    ]
+
+    @pytest.mark.parametrize(
+        ("meta", "named"),
+        BAD_EXPORT_META,
+        ids=["seed a numpy integer", "seed -1", "seed true", "policy null", "policy a number",
+             "aborted_at a numpy integer"],
+    )
+    def test_jsonl_export_refuses_a_meta_value_and_writes_no_file(self, tmp_path, meta, named):
+        log = ExperimentLog(*meta[:2], rows=make_rows([0.5, 0.25]), aborted_at=meta[2])
+        path = tmp_path / "sub" / "log.jsonl"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the meta line's {re.escape(named)}$"):
+            export_log(log, path)
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        policy_name=st.none() | st.integers(-1, 1) | st.text(max_size=3),
+        seed=st.none() | st.booleans() | st.integers(-2, 2) | st.floats(-1, 1) | st.builds(np.int64, st.integers(0, 2)),
+        aborted_at=st.none() | st.booleans() | st.integers(-1, 4) | st.builds(np.int64, st.integers(0, 4)),
+    )
+    def test_every_jsonl_file_the_export_writes_reads_back(self, tmp_path_factory, policy_name, seed, aborted_at):
+        log = ExperimentLog(policy_name, seed, rows=make_rows([0.5, 0.25]), aborted_at=aborted_at)
+        path = tmp_path_factory.mktemp("export") / "log.jsonl"
+        try:
+            export_log(log, path)
+        except ValueError:
+            assert not path.exists()
+            return
+        back = import_log_jsonl(path)
+        assert (back.policy_name, back.seed, back.aborted_at) == (policy_name, seed, aborted_at)
+        assert rows_equal(back, log)
 
     def test_jsonl_rows_are_json_dumps_text(self, tmp_path):
         # numpy floats, an int in a float column, None and extreme floats
