@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, islice
 from operator import attrgetter, itemgetter
@@ -517,17 +517,20 @@ def export_log(log: ExperimentLog, path: str | Path) -> Path:
     return path
 
 
-def _numbered(chunk: list[str], read: int) -> list[tuple[int, str]]:
-    """The non-blank lines of ``chunk``, read after the file's first ``read``
-    lines, each with its 1-based line number in the file."""
-    return [(read + i, line) for i, line in enumerate(chunk, 1) if line != "\n"]
-
-
-def _not_json(path, where: str, exc: ValueError) -> ValueError:
-    """The error for the line ``where`` names, which ``exc`` failed to decode."""
-    if isinstance(exc, json.JSONDecodeError):  # its own line and column count within the line
-        exc = f"{exc.msg} at column {exc.pos + 1}"
-    return ValueError(f"{path}: {where} is not readable JSON: {exc}")
+def _object(path, where: str, line: str, keys: Collection[str], sep: str) -> dict:
+    """The object on the file's line that ``where`` names; raises ValueError
+    naming both unless it is one JSON object of exactly ``keys``, each once."""
+    try:
+        # an object that writes a key twice stays a list of pairs, which the
+        # key test below fails; json alone would keep the last value
+        obj = json.loads(line, object_pairs_hook=lambda pairs: dict(pairs) if len(dict(pairs)) == len(pairs) else pairs)
+    except ValueError as exc:  # not JSON, or past Python's digit limit
+        if isinstance(exc, json.JSONDecodeError):  # its own line and column count within the line
+            exc = f"{exc.msg} at column {exc.pos + 1}"
+        raise ValueError(f"{path}: {where} is not readable JSON: {exc}") from None
+    if type(obj) is not dict or obj.keys() != set(keys):
+        raise ValueError(f"{path}: {where} must be an object of exactly the keys {sep.join(keys)}")
+    return obj
 
 
 def import_log_jsonl(path: str | Path) -> ExperimentLog:
@@ -535,10 +538,11 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
 
     Raises ValueError naming the file if the meta line is not an object of
     the keys and values that the export writes, if a row line, named by its
-    number, is not one JSON object of exactly the log's keys, if a row
-    breaks a rule of :func:`_block`, or if ``aborted_at`` is not null and
-    not the step after the last row, where a diverged run stops its log.
-    Of the row lines, the first at fault in the file is named.
+    number, is not one JSON object of exactly the log's keys, if either
+    writes a key twice, if a row breaks a rule of :func:`_block`, or if
+    ``aborted_at`` is not null and not the step after the last row, where a
+    diverged run stops its log. Of the row lines, the first at fault in the
+    file is named.
     """
     with open(path, encoding="utf-8") as fh:
         # newlines read as "\n"; blank lines are skipped, but counted in
@@ -548,24 +552,21 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
                 break
         else:
             raise ValueError(f"{path}: empty log file")
-        try:
-            meta = json.loads(first)
-        except ValueError as exc:
-            raise _not_json(path, "the meta line", exc) from None
-        if type(meta) is not dict or meta.keys() != _META.keys():
-            raise ValueError(f"{path}: the meta line must be an object of exactly the keys {', '.join(_META)}")
+        meta = _object(path, "the meta line", first, _META, ", ")
         _check_meta(path, meta)
-        decode = json.JSONDecoder().decode
         blocks, n_rows = [np.empty((len(_COLUMNS), 0))], 0
         while chunk := list(islice(fh, _CHUNK)):
             texts = [line for line in chunk if line != "\n"]
             # one decode per chunk of lines, transposed into columns: one row a
-            # line, each an object holding every key of the log, and the chunk
-            # ten keys a row in all, so that no row holds another key
+            # line, each an object holding every key of the log, so 20 quote
+            # bytes or more, and 20 a row in all, so that no row writes another
+            # key, a key twice or a string (no UTF-8 multibyte sequence holds '"')
+            joined = "[" + ",".join(texts) + "]"
             try:
-                rows = decode("[" + ",".join(texts) + "]")
+                rows = json.loads(joined)
                 values = list(map(_json_values, rows))
-                fits = len(rows) == len(texts) and sum(map(len, rows)) == len(_COLUMNS) * len(rows)
+                quotes = np.count_nonzero(np.frombuffer(joined.encode(), np.uint8) == ord('"'))
+                fits = len(rows) == len(texts) and quotes == 2 * len(_COLUMNS) * len(rows)
                 block = _broken_rule(list(zip(*values)), n_rows + 1) if fits else None
             except (ValueError, KeyError, TypeError):  # ValueError: not JSON, or past Python's digit limit
                 block = None
@@ -574,13 +575,9 @@ def import_log_jsonl(path: str | Path) -> ExperimentLog:
                 # first that is not one JSON object of exactly the log's keys
                 # or whose row breaks a rule of _block; lines that each pass
                 # alone pass together, so the walk always raises
-                for t, (n, line) in enumerate(_numbered(chunk, read), n_rows + 1):
-                    try:
-                        row = decode(line)
-                    except ValueError as exc:
-                        raise _not_json(path, f"line {n}", exc) from None
-                    if type(row) is not dict or row.keys() != set(_COLUMNS.values()):
-                        raise ValueError(f"{path}: line {n} must be an object of exactly the keys {CSV_HEADER}")
+                lines = ((n, line) for n, line in enumerate(chunk, read + 1) if line != "\n")
+                for t, (n, line) in enumerate(lines, n_rows + 1):
+                    row = _object(path, f"line {n}", line, _COLUMNS.values(), ",")
                     try:
                         _block([[v] for v in _json_values(row)], t)
                     except ValueError as exc:

@@ -800,6 +800,57 @@ class TestExport:
         with pytest.raises(ValueError, match=f"log.jsonl: {re.escape(named)}"):
             import_log_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        ['{"policy": "x", "seed": 3, "seed": 0, "aborted_at": null}', '{"policy": "x", "s\\u0065ed": 3, "seed": 0, "aborted_at": null}'],
+        ids=["plain", "through an escape"],
+    )
+    def test_jsonl_import_rejects_a_meta_line_that_repeats_a_key(self, tmp_path, line):
+        path = export_log(make_log([0.5, 0.25]), tmp_path / "log.jsonl")
+        meta, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([line, *rows]) + "\n")
+        with pytest.raises(ValueError, match="log.jsonl: the meta line must be an object of exactly the keys policy, seed, aborted_at$"):
+            import_log_jsonl(path)
+
+    # (row index, its text, the text put in its place) and what the import
+    # names: the log has a blank line after its meta line, so row i is on file
+    # line i + 3, and the first chunk of 1,024 lines ends on file line 1,025
+    ROW_TEXTS = [
+        ((1, '{"t": 2,', '{"t": 9, "t": 2,'), f"line 4 must be an object of exactly the keys {CSV_HEADER}"),
+        ((1300, '"accuracy": 0.5,', '"accuracy": 7.5, "accuracy": 0.5,'), f"line 1303 must be an object of exactly the keys {CSV_HEADER}"),
+        ((500, '{"t": 501,', '{"\\u0074": 9, "t": 501,'), f"line 503 must be an object of exactly the keys {CSV_HEADER}"),
+        ((1, '"domain": 0,', '"domain": "0",'), "non-integer value in an integer field in the log row at t=2"),
+        ((1, '"accuracy": 0.5,', '"accuracy": "0.5",'), "non-numeric value in a float field in the log row at t=2"),
+        ((1, '"domain"', '"dom\\"ain"'), f"line 4 must be an object of exactly the keys {CSV_HEADER}"),
+    ]
+
+    @pytest.mark.parametrize(
+        ("change", "named"),
+        ROW_TEXTS,
+        ids=["a key twice", "a key twice past the first chunk", "a key twice through an escape",
+             "a string in an int field", "a string in a float field", "a key holding an escaped quote"],
+    )
+    def test_jsonl_import_names_a_row_of_repeated_keys_or_quoted_text(self, tmp_path, change, named):
+        path = export_log(make_log([0.5] * 1500), tmp_path / "log.jsonl")
+        meta, *rows = path.read_text().splitlines()
+        i, old, new = change
+        assert old in rows[i]
+        rows[i] = rows[i].replace(old, new)
+        path.write_text("\n".join([meta, "", *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"log.jsonl: {re.escape(named)}$"):
+            import_log_jsonl(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(key=st.sampled_from(CSV_HEADER.split(",")), i=st.integers(0, 1099))
+    def test_jsonl_import_names_any_row_that_repeats_a_key(self, tmp_path_factory, key, i):
+        path = export_log(make_log([0.5, 0.25] * 550, resets={7}), tmp_path_factory.mktemp("repeat") / "log.jsonl")
+        meta, *rows = path.read_text().splitlines()
+        # the row writes the key once more, first, with the value it holds
+        rows[i] = f'{{"{key}": {json.dumps(json.loads(rows[i])[key])}, ' + rows[i][1:]
+        path.write_text("\n".join([meta, *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"log.jsonl: line {i + 2} must be an object of exactly the keys {CSV_HEADER}$"):
+            import_log_jsonl(path)
+
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_jsonl_import_of_empty_file_rejected(self, tmp_path, text):
         path = tmp_path / "log.jsonl"
