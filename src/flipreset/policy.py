@@ -9,7 +9,8 @@ Each policy kind is one row of the rule table ``_RULES``:
     abr              adaptive trigger        ``force_lambda`` if set, else compute_lambda
 
 The adaptive trigger fires when the smoothed flip trajectory rises off its
-running minimum faster than a threshold that shrinks as 1/sqrt(elapsed time).
+running minimum faster than a threshold that shrinks as 1/sqrt(elapsed time):
+past the warm-up, a reset fires exactly when the logged ``slope > threshold``.
 """
 
 from __future__ import annotations
@@ -75,8 +76,6 @@ class PolicyDecision(NamedTuple):
     lam: float | None = None
     slope: float | None = None
     threshold: float | None = None
-    delta_lf: float | None = None
-    delta_t: int | None = None
 
     @property
     def reinitialize(self) -> bool:
@@ -143,15 +142,18 @@ def policy_name(policy: ResetPolicy) -> str:
     return _RULES[type(policy)][0]
 
 
-def _rise(state: FlipSignalState) -> tuple[float, int] | None:
-    """``(delta_lf, delta_t)`` from the trajectory minimum to the current
-    value; None while undefined (unseeded state or zero elapsed steps)."""
+def _trend(state: FlipSignalState, cfg: TriggerConfig | None) -> tuple[float, float | None] | None:
+    """The logged ``(slope, threshold)`` from the trajectory minimum to the
+    current value: the rise per step, ``delta_lf / delta_t``, and the per-step
+    bound ``beta * sqrt(scale) / sqrt(delta_t)``, the latter None without a
+    ``cfg``. None while undefined (unseeded state or zero elapsed steps)."""
     if state.lf_ema is None or state.lf_min is None or state.t_min is None:
         return None
     delta_t = state.t - state.t_min
     if delta_t < 1:
         return None
-    return state.lf_ema - state.lf_min, delta_t
+    threshold = None if cfg is None else cfg.beta * math.sqrt(cfg.time_unit_scale) / math.sqrt(delta_t)
+    return (state.lf_ema - state.lf_min) / delta_t, threshold
 
 
 def slope(state: FlipSignalState) -> float | None:
@@ -160,35 +162,20 @@ def slope(state: FlipSignalState) -> float | None:
     Returns None while undefined (unseeded state or zero elapsed steps);
     callers must treat that as "no trigger".
     """
-    rise = _rise(state)
-    return None if rise is None else rise[0] / rise[1]
+    trend = _trend(state, None)
+    return None if trend is None else trend[0]
 
 
-def threshold_value(delta_t: int, cfg: TriggerConfig) -> float:
-    """Per-step slope threshold ``delta_t`` steps after the minimum:
-    beta * sqrt(scale) / sqrt(delta_t).
-
-    Comparing the per-step slope against this value is, up to rounding, the
-    bound beta / sqrt(delta_t * scale) on the per-sample slope.
-    """
-    return cfg.beta * math.sqrt(cfg.time_unit_scale) / math.sqrt(delta_t)
-
-
-def _fires(state: FlipSignalState, rise: tuple[float, int] | None, cfg: TriggerConfig) -> bool:
-    if rise is None or state.steps_since_reset <= cfg.warmup_steps:
-        return False
-    delta_lf, delta_t = rise
-    return delta_lf > cfg.beta * math.sqrt(delta_t * cfg.time_unit_scale)
+def _fires(state: FlipSignalState, trend: tuple[float, float | None] | None, cfg: TriggerConfig) -> bool:
+    return trend is not None and state.steps_since_reset > cfg.warmup_steps and trend[0] > trend[1]
 
 
 def trigger_check(state: FlipSignalState, cfg: TriggerConfig) -> bool:
-    """True iff the smoothed trajectory rose fast enough since its minimum.
-
-    Evaluates ``delta_lf > beta * sqrt(delta_t * scale)``: the logged
-    ``slope > threshold`` rearranged to avoid the division, equal to it up
-    to rounding; always false during the post-reset warm-up window.
+    """True iff the smoothed trajectory rose fast enough since its minimum:
+    more than ``warmup_steps`` steps since the last reset and the logged
+    ``slope > threshold``, compared on exactly the two floats the log holds.
     """
-    return _fires(state, _rise(state), cfg)
+    return _fires(state, _trend(state, cfg), cfg)
 
 
 def compute_lambda(state: FlipSignalState) -> float:
@@ -224,16 +211,16 @@ def blend_weights(
     return lam * theta_source + (1.0 - lam) * theta_prev
 
 
-def _adaptive_fires(policy: HardReset | BalancedReset, state: FlipSignalState, rise) -> bool:
-    return _fires(state, rise, policy.trigger)
+def _adaptive_fires(policy: HardReset | BalancedReset, state: FlipSignalState, trend) -> bool:
+    return _fires(state, trend, policy.trigger)
 
 
-# per policy kind: config-file name, fire rule (policy, state, rise) -> bool,
+# per policy kind: config-file name, fire rule (policy, state, trend) -> bool,
 # and restore rule (policy, state) -> restore ratio, read only when it fires
 _RULES = {
-    NoReset: ("no_reset", lambda p, st, rise: False, None),
-    FixedInterval: ("fixed_interval", lambda p, st, rise: st.t >= 1 and st.t % p.period == 0, lambda p, st: 1.0),
-    RandomTiming: ("random_timing", lambda p, st, rise: st.t in p.times, lambda p, st: 1.0),
+    NoReset: ("no_reset", lambda p, st, trend: False, None),
+    FixedInterval: ("fixed_interval", lambda p, st, trend: st.t >= 1 and st.t % p.period == 0, lambda p, st: 1.0),
+    RandomTiming: ("random_timing", lambda p, st, trend: st.t in p.times, lambda p, st: 1.0),
     HardReset: ("hard_reset", _adaptive_fires, lambda p, st: 1.0),
     BalancedReset: (
         "abr", _adaptive_fires, lambda p, st: compute_lambda(st) if p.force_lambda is None else p.force_lambda
@@ -253,16 +240,9 @@ def policy_step(
     signal is cleared. Called once per adapted batch, after the signal update.
     """
     _, fires, restore = _RULES[type(policy)]
-    rise = _rise(state)
-    s = thr = delta_lf = delta_t = None
-    if rise is not None:
-        delta_lf, delta_t = rise
-        s = delta_lf / delta_t
-        if fires is _adaptive_fires:
-            thr = threshold_value(delta_t, policy.trigger)
-
-    lam = restore(policy, state) if fires(policy, state, rise) else None
+    trend = _trend(state, policy.trigger if fires is _adaptive_fires else None)
+    lam = restore(policy, state) if fires(policy, state, trend) else None
     if lam is not None:
         model.replace_weights(blend_weights(model.theta_source, model.theta, lam))
         state.reset_signal()
-    return PolicyDecision(lam, s, thr, delta_lf, delta_t)
+    return PolicyDecision(lam, *(trend or (None, None)))

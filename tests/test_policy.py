@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flipreset.flip_signal import FlipSignalState
 from flipreset.learner import ModelState
@@ -46,6 +47,13 @@ def run_policy(policy, raws, model):
 
 def tiny_model(rng, n_classes=3, n_features=4):
     return ModelState.initialize(n_classes, n_features, rng)
+
+
+def ulps_off(x, k):
+    """``x`` moved ``k`` representable floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
 
 
 class TestSlope:
@@ -197,14 +205,14 @@ class TestBlendWeights:
 class TestPolicyDecision:
     def test_reinitialize_follows_lam(self):
         assert not PolicyDecision().reinitialize
-        assert not PolicyDecision(slope=0.1, threshold=0.2, delta_lf=0.3, delta_t=4).reinitialize
+        assert not PolicyDecision(slope=0.1, threshold=0.2).reinitialize
         assert PolicyDecision(lam=0.0).reinitialize
         assert PolicyDecision(lam=1.0).reinitialize
 
     def test_fields_defaults_and_immutability(self):
-        decision = PolicyDecision(slope=0.1, delta_t=4)
-        assert PolicyDecision._fields == ("lam", "slope", "threshold", "delta_lf", "delta_t")
-        assert tuple(decision) == (None, 0.1, None, None, 4)
+        decision = PolicyDecision(slope=0.1)
+        assert PolicyDecision._fields == ("lam", "slope", "threshold")
+        assert tuple(decision) == (None, 0.1, None)
         with pytest.raises(AttributeError):
             decision.lam = 1.0
 
@@ -312,7 +320,43 @@ class TestPolicyStep:
         decision = policy_step(BalancedReset(TriggerConfig(beta=1e3)), state, model)
         assert not decision.reinitialize
         assert decision.slope is not None and decision.threshold is not None
-        assert decision.delta_t == state.t - state.t_min
+        assert decision.slope == (state.lf_ema - state.lf_min) / (state.t - state.t_min)
         # clock policies have no beta, hence no threshold
         decision = policy_step(NoReset(), state, model)
         assert decision.threshold is None and decision.slope is not None
+
+    def test_resets_exactly_when_the_logged_slope_exceeds_the_threshold(self, rng):
+        # delta_lf equal to beta * sqrt(dt * scale): the rearranged inequality
+        # reads "no reset" while the logged floats read slope > threshold
+        beta = 8.291283895033408e-06
+        state = make_state(lf_ema=beta * math.sqrt(532 * 64), lf_min=0.0, t=533, t_min=1)
+        policy = BalancedReset(TriggerConfig(beta=beta, warmup_steps=0, time_unit_scale=64.0))
+        decision = policy_step(policy, state, tiny_model(rng))
+        assert decision.reinitialize
+        assert decision.slope > decision.threshold
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        beta=st.floats(-8.0, -4.0).map(lambda e: 10.0**e),
+        delta_t=st.integers(1, 1999),
+        ulps=st.integers(-4, 4),
+        warmup=st.integers(0, 3),
+        steps_since_reset=st.integers(0, 6),
+        policy_cls=st.sampled_from([HardReset, BalancedReset]),
+    )
+    @example(beta=8.291283895033408e-06, delta_t=532, ulps=0, warmup=0, steps_since_reset=533, policy_cls=HardReset)
+    def test_near_the_bound_the_reset_follows_the_logged_rule(
+        self, beta, delta_t, ulps, warmup, steps_since_reset, policy_cls
+    ):
+        cfg = TriggerConfig(beta=beta, warmup_steps=warmup, time_unit_scale=64.0)
+        state = make_state(
+            lf_ema=ulps_off(beta * math.sqrt(delta_t * 64.0), ulps),
+            lf_min=0.0,
+            t=delta_t + 1,
+            t_min=1,
+            steps_since_reset=steps_since_reset,
+        )
+        checked = trigger_check(state, cfg)
+        decision = policy_step(policy_cls(cfg), state, tiny_model(np.random.default_rng(0)))
+        logged = steps_since_reset > warmup and decision.slope > decision.threshold
+        assert decision.reinitialize == logged == checked
